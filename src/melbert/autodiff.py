@@ -70,7 +70,7 @@ class Tensor:
     def item(self) -> float:
         if self.data.size != 1:
             raise ContractError(f"item() needs a single-element tensor, got shape {self.shape}")
-        return float(self.data)
+        return float(self.data.item())
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -448,11 +448,12 @@ def gelu(a) -> Tensor:
     """Gaussian error linear unit, tanh approximation."""
     a = as_tensor(a)
     x = a.data
-    inner = _GELU_C * (x + 0.044715 * x**3)
+    x2 = x * x  # products, not x**3: numpy sends integer powers above 2 through pow
+    inner = _GELU_C * (x + 0.044715 * x2 * x)
     t = np.tanh(inner)
 
     def bw(g):
-        dinner = _GELU_C * (1.0 + 3 * 0.044715 * x**2)
+        dinner = _GELU_C * (1.0 + 3 * 0.044715 * x2)
         return (g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner),)
 
     return _make(0.5 * x * (1.0 + t), (a,), bw)

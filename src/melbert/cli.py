@@ -29,7 +29,7 @@ from .evaluation import (
     report_to_json,
     zero_shot_eval,
 )
-from .model import MetaphorModel, ModelConfig, Variant
+from .model import ModelConfig, Variant
 from .training import (
     TrainConfig,
     bagging_cv_train,
@@ -235,7 +235,8 @@ def cmd_train(args) -> int:
         print("dry run: settings and corpus look usable, stopping before training")
         return 0
 
-    log_fh = open(args.log, "w", encoding="utf-8") if args.log else None
+    # a resumed run continues the log of the run it resumes
+    log_fh = open(args.log, "a" if args.resume else "w", encoding="utf-8") if args.log else None
     try:
         result = train_single(
             model_cfg, vocab, instances, train_cfg, seed=settings["seed"],

@@ -7,6 +7,11 @@ function of the sub-token ids. Each block is multi-head self-attention
 with a residual then layer norm, followed by a two-layer GELU feedforward
 with a residual then layer norm (norms after the residual adds).
 
+The forward pass runs on an ``InputBatch``: G inputs of one id length
+stacked row-wise. Dense layers see the batch as G*L rows; attention runs
+per row, so rows never attend to each other and no padding mask is
+needed. A single instance is a batch of one.
+
 Desk-scale defaults (2 layers, 2 heads, width 64) keep every test fast;
 the full-scale geometry (12/12/768) is reachable through the same config.
 """
@@ -21,7 +26,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, ContractError
-from .inputs import NUM_SEGMENTS, SentenceInput, TargetInput
+from .inputs import NUM_SEGMENTS, InputBatch
 from .rng import Rng
 
 
@@ -56,22 +61,31 @@ class EncoderConfig:
 
 @dataclass
 class EncoderOutput:
-    cls: Tensor                      # [d], the sequence-level vector
-    positions: Tensor                # [L, d], one row per input id
-    attentions: Optional[list[np.ndarray]] = None  # per layer [H, L, L]
+    cls: Tensor                      # [G, d], one sequence-level vector per row
+    positions: Tensor                # [G, L, d], one vector per input id
+    attentions: Optional[list[np.ndarray]] = None  # per layer [G, H, L, L]
 
 
-def pool_span(output: EncoderOutput, span: tuple[int, int], pooling: str = "mean") -> Tensor:
-    """Span vector: mean of the covered rows, or the [CLS] row."""
+def pool_span(output: EncoderOutput, spans, pooling: str = "mean") -> Tensor:
+    """Span vectors [G, d]: each row's mean over its span, or its [CLS] row.
+
+    ``spans`` holds one half-open (start, end) pair per batch row.
+    """
     if pooling == "cls":
         return output.cls
     if pooling != "mean":
         raise ConfigError(f"unknown pooling {pooling!r} (mean or cls)")
-    s, e = span
-    length = output.positions.shape[0]
-    if not 0 <= s < e <= length:
-        raise ContractError(f"span ({s}, {e}) empty or outside sequence of length {length}")
-    return ad.tmean(output.positions[s:e], axis=0)
+    G, L, _ = output.positions.shape
+    spans = np.asarray(spans, dtype=np.int64)
+    if spans.shape != (G, 2):
+        raise ContractError(f"need one span per row: {G} rows, spans of shape {spans.shape}")
+    s, e = spans[:, :1], spans[:, 1:]
+    if not ((0 <= s) & (s < e) & (e <= L)).all():
+        raise ContractError(f"span empty or outside sequence of length {L}: {spans.tolist()}")
+    cols = np.arange(L)
+    weights = ((cols >= s) & (cols < e)) / (e - s)   # [G, L], each row averages its span
+    pooled = ad.matmul(Tensor(weights[:, None, :]), output.positions)
+    return ad.reshape(pooled, (G, -1))
 
 
 class Encoder:
@@ -80,7 +94,6 @@ class Encoder:
     def __init__(self, cfg: EncoderConfig, rng: Rng):
         self.cfg = cfg
         self.params: dict[str, Tensor] = {}
-        self.call_count = 0
 
         def tn(name, shape):
             self.params[name] = Tensor(rng.truncated_normal(shape, std=cfg.init_std), requires_grad=True)
@@ -108,19 +121,9 @@ class Encoder:
             ones(f"layer{i}.ln2.g", (d,))
             zeros(f"layer{i}.ln2.b", (d,))
 
-    def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        for name, tensor in self.params.items():
-            if name not in arrays:
-                raise ContractError(f"checkpoint is missing parameter {name!r}")
-            if arrays[name].shape != tensor.data.shape:
-                raise ContractError(
-                    f"parameter {name!r} shape {arrays[name].shape} != expected {tensor.data.shape}"
-                )
-            tensor.data = arrays[name].astype(np.float64).copy()
-
     def encode(
         self,
-        inp: SentenceInput | TargetInput,
+        batch: InputBatch,
         mode: str = "eval",
         rng: Rng | None = None,
         keep_attention: bool = False,
@@ -131,20 +134,19 @@ class Encoder:
         if training and rng is None:
             raise ContractError("training-mode encode needs an rng for dropout")
         cfg = self.cfg
-        ids = np.asarray(inp.ids, dtype=np.int64)
-        L = len(ids)
+        G, L = batch.ids.shape
         if L == 0:
             raise ContractError("cannot encode an empty id sequence")
         if L > cfg.max_positions:
             raise ContractError(f"sequence length {L} exceeds max_positions {cfg.max_positions}")
-        self.call_count += 1
 
         p = cfg.dropout
         P = self.params
-        x = ad.embedding(P["emb.tok"], ids)
-        if isinstance(inp, SentenceInput):
-            x = ad.add(x, ad.embedding(P["emb.pos"], np.asarray(inp.positions, dtype=np.int64)))
-            x = ad.add(x, ad.embedding(P["emb.seg"], np.asarray(inp.segments, dtype=np.int64)))
+        N = G * L
+        x = ad.embedding(P["emb.tok"], batch.ids.reshape(N))
+        if batch.positions is not None:
+            x = ad.add(x, ad.embedding(P["emb.pos"], batch.positions.reshape(N)))
+            x = ad.add(x, ad.embedding(P["emb.seg"], batch.segments.reshape(N)))
         x = ad.dropout(x, p, training, rng)
 
         d = cfg.hidden_dim
@@ -158,17 +160,17 @@ class Encoder:
                 return ad.add(ad.matmul(x, P[f"layer{i}.attn.{name}.w"]), P[f"layer{i}.attn.{name}.b"])
 
             def split_heads(t):
-                return ad.transpose(ad.reshape(t, (L, heads, dh)), (1, 0, 2))
+                return ad.transpose(ad.reshape(t, (G, L, heads, dh)), (0, 2, 1, 3))
 
             q = split_heads(proj("q"))
             k = split_heads(proj("k"))
             v = split_heads(proj("v"))
-            scores = ad.mul(ad.matmul(q, ad.transpose(k, (0, 2, 1))), Tensor(scale))
+            scores = ad.mul(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), Tensor(scale))
             probs = ad.softmax(scores, axis=-1)
             if attentions is not None:
                 attentions.append(probs.data.copy())
             probs = ad.dropout(probs, p, training, rng)
-            ctx = ad.reshape(ad.transpose(ad.matmul(probs, v), (1, 0, 2)), (L, d))
+            ctx = ad.reshape(ad.transpose(ad.matmul(probs, v), (0, 2, 1, 3)), (N, d))
             attn_out = ad.add(ad.matmul(ctx, P[f"layer{i}.attn.o.w"]), P[f"layer{i}.attn.o.b"])
             attn_out = ad.dropout(attn_out, p, training, rng)
             x = ad.layer_norm(ad.add(x, attn_out), P[f"layer{i}.ln1.g"], P[f"layer{i}.ln1.b"])
@@ -178,4 +180,5 @@ class Encoder:
             h = ad.dropout(h, p, training, rng)
             x = ad.layer_norm(ad.add(x, h), P[f"layer{i}.ln2.g"], P[f"layer{i}.ln2.b"])
 
-        return EncoderOutput(cls=x[0], positions=x, attentions=attentions)
+        positions = ad.reshape(x, (G, L, d))
+        return EncoderOutput(cls=positions[:, 0], positions=positions, attentions=attentions)

@@ -14,7 +14,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from .bpe import MARKER, UNK_ID, Vocab
 from .data import Instance
@@ -156,6 +155,8 @@ def welch_ttest(a, b) -> TTestResult:
                            p_value=1.0 if same else 0.0)
     t = (a.mean() - b.mean()) / np.sqrt(va + vb)
     df = (va + vb) ** 2 / (va ** 2 / (a.size - 1) + vb ** 2 / (b.size - 1))
+    from scipy import stats  # imported here: loading scipy.stats takes about a second
+
     p = 2.0 * stats.t.sf(abs(t), df)
     return TTestResult(statistic=float(t), df=float(df), p_value=float(p))
 
@@ -188,6 +189,8 @@ def regression_scores(predicted, target) -> RegressionReport:
         uc = u - u.mean()
         vc = v - v.mean()
         return float((uc * vc).sum() / np.sqrt((uc * uc).sum() * (vc * vc).sum()))
+
+    from scipy import stats
 
     rx = stats.rankdata(x)  # average ranks for ties
     ry = stats.rankdata(y)

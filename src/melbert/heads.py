@@ -12,6 +12,9 @@ The full model combines both head outputs through a single logistic
 unit; ablations keep one head and a combiner sized to match (the weight
 vector shrinks to h rather than being zero-padded). The two sequence
 baselines score a single encoder vector directly.
+
+Heads and combiners work row-wise: their inputs are [B, d] batches of
+vectors, and the combiners return one score per row.
 """
 
 from __future__ import annotations
@@ -83,41 +86,37 @@ def declared_head_param_count(variant: str, hidden_dim: int, head_dim: int) -> i
 
 def _pair_mlp(a: Tensor, b: Tensor, w: Tensor, bias: Tensor,
               dropout_p: float, training: bool, rng) -> Tensor:
-    if a.shape != b.shape or a.ndim != 1:
-        raise DimensionError(f"head inputs must be equal-length vectors, got {a.shape} and {b.shape}")
-    if w.shape[0] != 2 * a.shape[0]:
-        raise DimensionError(f"head weight expects input {w.shape[0]}, got 2x{a.shape[0]}")
-    z = ad.concat([a, b], axis=0)
-    out = ad.add(ad.reshape(ad.matmul(ad.reshape(z, (1, -1)), w), (-1,)), bias)
-    out = ad.gelu(out)
+    if a.shape != b.shape or a.ndim != 2:
+        raise DimensionError(f"head inputs must be equal-shape [B, d] rows, got {a.shape} and {b.shape}")
+    if w.shape[0] != 2 * a.shape[1]:
+        raise DimensionError(f"head weight expects input {w.shape[0]}, got 2x{a.shape[1]}")
+    z = ad.concat([a, b], axis=1)
+    out = ad.gelu(ad.add(ad.matmul(z, w), bias))
     return ad.dropout(out, dropout_p, training, rng)
 
 
 def interaction_head(v_st: Tensor, v_t: Tensor, hp: HeadParams,
                      dropout_p: float = 0.0, training: bool = False, rng=None) -> Tensor:
-    """Compare the in-context target vector against its isolated encoding."""
+    """Compare each in-context target vector against its isolated encoding."""
     return _pair_mlp(v_st, v_t, hp.f_w, hp.f_b, dropout_p, training, rng)
 
 
 def contrast_head(v_s: Tensor, v_st: Tensor, hp: HeadParams,
                   dropout_p: float = 0.0, training: bool = False, rng=None) -> Tensor:
-    """Compare the sentence vector against the in-context target vector."""
+    """Compare each sentence vector against its in-context target vector."""
     return _pair_mlp(v_s, v_st, hp.g_w, hp.g_b, dropout_p, training, rng)
 
 
 def combine_pair(h_f: Tensor, h_g: Tensor, hp: HeadParams) -> Tensor:
-    """Logistic combination of both head outputs; scalar score in (0, 1)."""
-    z = ad.concat([h_f, h_g], axis=0)
-    if hp.w.shape != z.shape:
-        raise DimensionError(f"combiner weight {hp.w.shape} does not match heads {z.shape}")
-    return ad.sigmoid(ad.add(ad.tsum(ad.mul(z, hp.w)), hp.b))
+    """Logistic combination of both heads' [B, h] rows; [B] scores in (0, 1)."""
+    return combine_single(ad.concat([h_f, h_g], axis=1), hp)
 
 
 def combine_single(h: Tensor, hp: HeadParams) -> Tensor:
-    """Logistic readout of one vector (ablations and baselines)."""
-    if hp.w.shape != h.shape:
-        raise DimensionError(f"combiner weight {hp.w.shape} does not match input {h.shape}")
-    return ad.sigmoid(ad.add(ad.tsum(ad.mul(h, hp.w)), hp.b))
+    """Logistic readout of [B, k] rows (ablations and baselines); [B] scores."""
+    if h.ndim != 2 or hp.w.shape != h.shape[1:]:
+        raise DimensionError(f"combiner weight {hp.w.shape} does not match input rows {h.shape}")
+    return ad.sigmoid(ad.add(ad.tsum(ad.mul(h, hp.w), axis=1), hp.b))
 
 
 def bce_loss(scores: Tensor, labels, pos_weight: float = 1.0) -> Tensor:

@@ -12,11 +12,17 @@ target copy after the sentence and marks nothing.
 When a sentence overflows max_len, sub-tokens are dropped one at a time
 from whichever sentence end lies farther from the target span; the
 specials and the target itself are never dropped.
+
+The encoder consumes an ``InputBatch``: inputs of one kind and one id
+length stacked row-wise, so a whole group runs through one forward pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
+
+import numpy as np
 
 from .bpe import CLS_ID, SEP_ID, Vocab
 from .data import Instance
@@ -56,6 +62,35 @@ class TargetInput:
         s, e = self.target_span
         if not (0 <= s < e <= len(self.ids)):
             raise ContractError(f"target span {self.target_span} invalid for length {len(self.ids)}")
+
+
+@dataclass(frozen=True, eq=False)
+class InputBatch:
+    """Equal-length inputs of one kind, stacked row-wise for one encode."""
+
+    ids: np.ndarray                   # [G, L]
+    positions: Optional[np.ndarray]   # [G, L]; None for target inputs
+    segments: Optional[np.ndarray]    # [G, L]; None for target inputs
+    spans: np.ndarray                 # [G, 2], one half-open target span per row
+
+    @classmethod
+    def stack(cls, inputs) -> "InputBatch":
+        inputs = list(inputs)
+        if not inputs:
+            raise ContractError("cannot stack an empty list of inputs")
+        lengths = {len(inp.ids) for inp in inputs}
+        if len(lengths) != 1:
+            raise ContractError(f"stacked inputs must share one id length, got {sorted(lengths)}")
+        kinds = {type(inp) for inp in inputs}
+        if len(kinds) != 1:
+            raise ContractError("stacked inputs must all be sentence inputs or all target inputs")
+        sentences = kinds == {SentenceInput}
+        return cls(
+            ids=np.array([inp.ids for inp in inputs], dtype=np.int64),
+            positions=np.array([inp.positions for inp in inputs], dtype=np.int64) if sentences else None,
+            segments=np.array([inp.segments for inp in inputs], dtype=np.int64) if sentences else None,
+            spans=np.array([inp.target_span for inp in inputs], dtype=np.int64),
+        )
 
 
 def clause_word_range(tokens, target_index: int) -> tuple[int, int]:

@@ -8,6 +8,11 @@ need a single encoder pass: all-to-all packs sentence and target into
 one unmarked sequence and classifies from [CLS]; the sequence-labeling
 baseline classifies from the segment-marked target vector directly.
 
+Scoring is batched: ``score_batch`` splits a batch into groups of equal
+id length, encodes each group in one pass, runs the heads on [B, d] rows
+and returns the scores in input order. Training scores a whole batch
+under one tape; a prediction is a batch of one.
+
 Because the target pass sees no context, its vector depends only on the
 target's sub-token ids, so evaluation caches it per id sequence. Any
 parameter update invalidates the cache.
@@ -15,27 +20,27 @@ parameter update invalidates the cache.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
 import numpy as np
 
+from . import autodiff as ad
 from .autodiff import Tensor
 from .bpe import Vocab
 from .data import Instance
 from .encoder import Encoder, EncoderConfig, pool_span
 from .errors import ConfigError, ContractError
-from .heads import (
-    HeadParams,
-    combine_pair,
-    combine_single,
-    contrast_head,
-    declared_head_param_count,
-    init_head_params,
-    interaction_head,
+from .heads import combine_pair, combine_single, contrast_head, init_head_params, interaction_head
+from .inputs import (
+    InputBatch,
+    SentenceInput,
+    TargetInput,
+    build_pair_input,
+    build_sentence_input,
+    build_target_input,
 )
-from .inputs import SentenceInput, TargetInput, build_pair_input, build_sentence_input, build_target_input
 from .rng import Rng
 
 
@@ -178,58 +183,107 @@ class MetaphorModel:
 
     # -- scoring ---------------------------------------------------------
 
-    def _target_vector(self, tgt: TargetInput, mode: str, rng) -> Tensor:
-        if mode == "eval":
-            hit = self._target_cache.get(tgt.ids)
-            if hit is not None:
-                self.counters.target_cache_hits += 1
-                return Tensor(hit)
-            out = self.encoder.encode(tgt, "eval")
-            self.counters.target += 1
-            v = pool_span(out, tgt.target_span, self.cfg.target_pooling)
-            self._target_cache[tgt.ids] = v.data.copy()
-            return v
-        out = self.encoder.encode(tgt, mode, rng)
-        self.counters.target += 1
-        return pool_span(out, tgt.target_span, self.cfg.target_pooling)
+    def _encode_grouped(self, inputs, mode: str, rng, poolings: tuple[str, ...]) -> list[Tensor]:
+        """One [n, d] tensor per pooling ("cls" or "mean") for n inputs, in input order.
 
-    def score_inputs(
+        Inputs of equal id length share one encoder pass; groups run in
+        order of first appearance, so the dropout draws are deterministic.
+        """
+        groups: dict[int, list[int]] = {}
+        for i, inp in enumerate(inputs):
+            groups.setdefault(len(inp.ids), []).append(i)
+        pooled: list[list[Tensor]] = [[] for _ in poolings]
+        order: list[int] = []
+        for rows in groups.values():
+            batch = InputBatch.stack([inputs[i] for i in rows])
+            out = self.encoder.encode(batch, mode, rng)
+            for parts, pooling in zip(pooled, poolings):
+                parts.append(pool_span(out, batch.spans, pooling))
+            order.extend(rows)
+        restore = np.argsort(order)
+        return [_gather(parts, restore) for parts in pooled]
+
+    def _target_vectors(self, tgts: list[TargetInput], mode: str, rng) -> Tensor:
+        """[B, d] isolated target vectors; eval mode reads and fills the cache.
+
+        In eval mode each distinct uncached id sequence is encoded once and
+        every other row, a cached target or a repeat within the batch,
+        counts as a cache hit, so the counters match scoring one by one.
+        """
+        pooling = self.cfg.target_pooling
+        if mode != "eval":
+            self.counters.target += len(tgts)
+            return self._encode_grouped(tgts, mode, rng, (pooling,))[0]
+        misses: dict[tuple[int, ...], TargetInput] = {}
+        hits: dict[tuple[int, ...], np.ndarray] = {}
+        for tgt in tgts:
+            if tgt.ids in misses or tgt.ids in hits:
+                continue
+            cached = self._target_cache.get(tgt.ids)
+            if cached is None:
+                misses[tgt.ids] = tgt
+            else:
+                hits[tgt.ids] = cached
+        self.counters.target += len(misses)
+        self.counters.target_cache_hits += len(tgts) - len(misses)
+        parts = []
+        if misses:
+            encoded = self._encode_grouped(list(misses.values()), mode, rng, (pooling,))[0]
+            for ids, v in zip(misses, encoded.data):
+                self._target_cache[ids] = v.copy()
+            parts.append(encoded)
+        if hits:
+            parts.append(Tensor(np.stack(list(hits.values()))))
+        row = {ids: r for r, ids in enumerate([*misses, *hits])}
+        return _gather(parts, [row[t.ids] for t in tgts])
+
+    def score_batch(
         self,
-        sent: SentenceInput,
-        tgt: Optional[TargetInput],
+        sents: list[SentenceInput],
+        tgts: list[Optional[TargetInput]],
         mode: str = "eval",
         rng: Rng | None = None,
     ) -> Tensor:
-        """Scalar score in (0, 1) for one prepared instance."""
+        """[B] scores in (0, 1) for B prepared instances, in input order."""
+        if not sents or len(sents) != len(tgts):
+            raise ContractError(f"need a non-empty batch of aligned inputs, got {len(sents)} and {len(tgts)}")
         variant = self.cfg.variant
         p = self.cfg.encoder.dropout
         training = mode == "train"
-        out = self.encoder.encode(sent, mode, rng)
-        self.counters.sentence += 1
+        v_s, v_st = self._encode_grouped(sents, mode, rng, ("cls", "mean"))
+        self.counters.sentence += len(sents)
 
         if variant is Variant.BASE_ALL2ALL:
-            return combine_single(out.cls, self.heads)
-        v_st = pool_span(out, sent.target_span)
+            return combine_single(v_s, self.heads)
         if variant is Variant.SEQ:
             return combine_single(v_st, self.heads)
-
         if variant is Variant.NO_MIP:
-            h_g = contrast_head(out.cls, v_st, self.heads, p, training, rng)
+            h_g = contrast_head(v_s, v_st, self.heads, p, training, rng)
             return combine_single(h_g, self.heads)
 
-        if tgt is None:
+        if any(t is None for t in tgts):
             raise ContractError(f"variant {variant.value} needs a target input")
-        v_t = self._target_vector(tgt, mode, rng)
+        v_t = self._target_vectors(tgts, mode, rng)
         h_f = interaction_head(v_st, v_t, self.heads, p, training, rng)
         if variant is Variant.NO_SPV:
             return combine_single(h_f, self.heads)
-        h_g = contrast_head(out.cls, v_st, self.heads, p, training, rng)
+        h_g = contrast_head(v_s, v_st, self.heads, p, training, rng)
         return combine_pair(h_f, h_g, self.heads)
 
     def score_instance(self, inst: Instance, mode: str = "eval", rng: Rng | None = None) -> Tensor:
+        """[1] score for one instance: a batch of one."""
         sent, tgt = self.build_inputs(inst)
-        return self.score_inputs(sent, tgt, mode, rng)
+        return self.score_batch([sent], [tgt], mode, rng)
 
     def predict(self, inst: Instance) -> Prediction:
         score = self.score_instance(inst, mode="eval").item()
         return Prediction(score=score, label=int(score >= self.cfg.threshold))
+
+
+def _gather(parts: list[Tensor], index) -> Tensor:
+    """Rows ``index`` of the parts stacked along axis 0 (no op for the identity)."""
+    table = parts[0] if len(parts) == 1 else ad.concat(parts, axis=0)
+    index = np.asarray(index)
+    if len(index) == table.shape[0] and (index == np.arange(len(index))).all():
+        return table
+    return table[index]

@@ -1,10 +1,12 @@
 """Training loop: Adam with warmup/decay, per-epoch checkpoints that
 resume bit-exactly, multi-seed orchestration, and bagged k-fold CV.
 
-Batches are processed instance-by-instance (two encoder passes for the
-late-interaction variants) under one tape, so the mean loss over the
-batch backpropagates in a single sweep. Every random decision after
-model init flows from one Philox stream whose state is written into the
+A training batch is scored by one ``score_batch`` call under one tape:
+its sentences, and for the late-interaction variants its targets, are
+encoded in groups of equal id length, one encoder pass per group, so the
+mean loss over the batch backpropagates in a single sweep. (A prediction
+is the same path with a batch of one.) Every random decision after model
+init flows from one Philox stream whose state is written into the
 training checkpoint; restoring it replays the identical shuffle and
 dropout sequence, which is what makes an interrupted run byte-identical
 to an uninterrupted one.
@@ -13,7 +15,7 @@ to an uninterrupted one.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -250,11 +252,9 @@ def train_single(
         for b in range(n_batches):
             idx = perm[b * cfg.batch_size : (b + 1) * cfg.batch_size]
             with Tape():
-                scores = [
-                    ad.reshape(model.score_inputs(*prepared[j], mode="train", rng=train_rng), (1,))
-                    for j in idx
-                ]
-                loss = loss_fn(ad.concat(scores), labels[idx])
+                scores = model.score_batch([prepared[j][0] for j in idx], [prepared[j][1] for j in idx],
+                                           mode="train", rng=train_rng)
+                loss = loss_fn(scores, labels[idx])
             loss_value = loss.item()
             if not np.isfinite(loss_value):
                 raise TrainingDivergedError(

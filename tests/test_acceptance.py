@@ -16,7 +16,6 @@ import pytest
 
 from fdcheck import check_grads
 
-from melbert import autodiff as ad
 from melbert.autodiff import Tensor
 from melbert.bpe import Vocab, train_bpe
 from melbert.data import Instance, load_corpus, make_synthetic_corpus, summarize
@@ -83,9 +82,10 @@ def test_criterion_01_full_model_gradient_fidelity():
                     model.encoder.params[n[4:]] = t
                 else:
                     setattr(model.heads, n[5:].replace(".", "_"), t)
-            scores = [ad.reshape(model.score_inputs(s, g, mode="eval"), (1,))
-                      for s, g in prepared]
-            return bce_loss(ad.concat(scores), labels, pos_weight=2.0)
+            # one batch: ids of lengths 10, 12 and 12, the target "sail" twice
+            scores = model.score_batch([s for s, _ in prepared], [g for _, g in prepared],
+                                       mode="eval")
+            return bce_loss(scores, labels, pos_weight=2.0)
 
         model._target_cache = _NoCache()
         check_grads(build, arrays, n_probes=200, rng=np.random.default_rng(2024),
@@ -110,21 +110,21 @@ def test_criterion_02_head_formula_oracles():
             v_s = rng.standard_normal(d)
             v_st = rng.standard_normal(d)
             v_t = rng.standard_normal(d)
-            h_f = interaction_head(Tensor(v_st), Tensor(v_t), hp)
-            h_g = contrast_head(Tensor(v_s), Tensor(v_st), hp)
+            h_f = interaction_head(Tensor(v_st[None]), Tensor(v_t[None]), hp)
+            h_g = contrast_head(Tensor(v_s[None]), Tensor(v_st[None]), hp)
             y = combine_pair(h_f, h_g, hp)
 
             want_f = np_gelu(np.concatenate([v_st, v_t]) @ hp.f_w.data + hp.f_b.data)
             want_g = np_gelu(np.concatenate([v_s, v_st]) @ hp.g_w.data + hp.g_b.data)
             want_y = np_sigmoid(np.concatenate([want_f, want_g]) @ hp.w.data + hp.b.data)
-            np.testing.assert_allclose(h_f.data, want_f, atol=1e-12, rtol=0)
-            np.testing.assert_allclose(h_g.data, want_g, atol=1e-12, rtol=0)
-            np.testing.assert_allclose(y.data, want_y, atol=1e-12, rtol=0)
+            np.testing.assert_allclose(h_f.data[0], want_f, atol=1e-12, rtol=0)
+            np.testing.assert_allclose(h_g.data[0], want_g, atol=1e-12, rtol=0)
+            np.testing.assert_allclose(y.data[0], want_y, atol=1e-12, rtol=0)
 
         hp1 = init_head_params("seq", d, h, Rng(6, "acceptance-heads"))
         for _ in range(1000):
             v = rng.standard_normal(d)
-            got = combine_single(Tensor(v), hp1).data
+            got = combine_single(Tensor(v[None]), hp1).data[0]
             want = np_sigmoid(v @ hp1.w.data + hp1.b.data)
             np.testing.assert_allclose(got, want, atol=1e-12, rtol=0)
 

@@ -1,11 +1,13 @@
 """Command-line workflow tests driven through main()."""
 
 import filecmp
+import functools
 import json
 import os
 
 import pytest
 
+from melbert import cli
 from melbert.cli import main, parse_config_file
 from melbert.data import make_synthetic_corpus, save_corpus
 from melbert.errors import ConfigError
@@ -125,6 +127,23 @@ class TestTrain:
                    "--log", log, "--out", workdir / "logged.ckpt") == 0
         lines = [json.loads(l) for l in log.read_text().splitlines()]
         assert lines and all("loss" in l for l in lines)
+
+    def test_resumed_log_equals_uninterrupted_log(self, workdir, monkeypatch):
+        args = ("train", "--corpus", workdir / "train.tsv", "--vocab", workdir / "vocab.txt",
+                "--config", workdir / "tiny.cfg", "--epochs", "3")
+        full = workdir / "uninterrupted.jsonl"
+        assert run(workdir, *args, "--log", full, "--out", workdir / "whole.ckpt") == 0
+
+        log, state = workdir / "resumed.jsonl", workdir / "state.ckpt"
+        # the first run stops after its first epoch, as if it had been killed there
+        monkeypatch.setattr(cli, "train_single", functools.partial(cli.train_single, stop_after_epoch=1))
+        assert run(workdir, *args, "--log", log, "--save-train-state", state,
+                   "--out", workdir / "part.ckpt") == 0
+        monkeypatch.undo()
+        assert len(log.read_text().splitlines()) < len(full.read_text().splitlines())
+        assert run(workdir, *args, "--log", log, "--resume", state,
+                   "--out", workdir / "resumed.ckpt") == 0
+        assert log.read_text().splitlines() == full.read_text().splitlines()
 
 
 class TestEval:

@@ -12,7 +12,8 @@ from melbert.checkpoint import load_checkpoint, save_checkpoint
 from melbert.data import Instance
 from melbert.encoder import Encoder, EncoderConfig, pool_span
 from melbert.errors import ConfigError, ContractError, FormatError, VocabError
-from melbert.inputs import SentenceInput, TargetInput, build_sentence_input, build_target_input
+from melbert.inputs import InputBatch, TargetInput, build_sentence_input, build_target_input
+from melbert.model import MetaphorModel, ModelConfig
 from melbert.rng import Rng
 
 
@@ -30,6 +31,11 @@ def small_cfg(vocab, **kw):
 def sentence_input(vocab, tokens=("the", "cat", "sat"), target=1):
     inst = Instance("s", tuple(tokens), target, 0.0, "NOUN")
     return build_sentence_input(inst, vocab)
+
+
+def one(inp):
+    """A single input as a batch of one."""
+    return InputBatch.stack([inp])
 
 
 class TestConfig:
@@ -80,39 +86,39 @@ class TestForward:
     def test_output_shapes(self, vocab):
         enc = Encoder(small_cfg(vocab), Rng(0, "init"))
         inp = sentence_input(vocab)
-        out = enc.encode(inp)
+        out = enc.encode(one(inp))
         L = len(inp.ids)
-        assert out.positions.shape == (L, 16)
-        assert out.cls.shape == (16,)
-        np.testing.assert_array_equal(out.cls.data, out.positions.data[0])
+        assert out.positions.shape == (1, L, 16)
+        assert out.cls.shape == (1, 16)
+        np.testing.assert_array_equal(out.cls.data, out.positions.data[:, 0])
 
     def test_eval_deterministic_bitwise(self, vocab):
         enc = Encoder(small_cfg(vocab), Rng(1, "init"))
         inp = sentence_input(vocab)
-        a = enc.encode(inp).positions.data
-        b = enc.encode(inp).positions.data
+        a = enc.encode(one(inp)).positions.data
+        b = enc.encode(one(inp)).positions.data
         assert a.tobytes() == b.tobytes()
 
     def test_train_mode_dropout_differs(self, vocab):
         enc = Encoder(small_cfg(vocab), Rng(1, "init"))
         inp = sentence_input(vocab)
         rng = Rng(3, "drop")
-        a = enc.encode(inp, mode="train", rng=rng).positions.data
-        b = enc.encode(inp, mode="train", rng=rng).positions.data
+        a = enc.encode(one(inp), mode="train", rng=rng).positions.data
+        b = enc.encode(one(inp), mode="train", rng=rng).positions.data
         assert a.tobytes() != b.tobytes()
 
     def test_zero_dropout_train_equals_eval(self, vocab):
         enc = Encoder(small_cfg(vocab, dropout=0.0), Rng(1, "init"))
         inp = sentence_input(vocab)
-        a = enc.encode(inp, mode="train", rng=Rng(0)).positions.data
-        b = enc.encode(inp, mode="eval").positions.data
+        a = enc.encode(one(inp), mode="train", rng=Rng(0)).positions.data
+        b = enc.encode(one(inp), mode="eval").positions.data
         assert a.tobytes() == b.tobytes()
 
     def test_attention_rows_are_distributions(self, vocab):
         enc = Encoder(small_cfg(vocab), Rng(2, "init"))
-        out = enc.encode(sentence_input(vocab), keep_attention=True)
+        out = enc.encode(one(sentence_input(vocab)), keep_attention=True)
         assert len(out.attentions) == 2  # one per layer
-        for a in out.attentions:
+        for (a,) in out.attentions:  # the batch's only row
             assert a.shape[0] == 2  # heads
             assert (a >= 0).all()
             np.testing.assert_allclose(a.sum(axis=-1), np.ones(a.shape[:2]), atol=1e-6)
@@ -122,33 +128,33 @@ class TestForward:
         inst = Instance("s", ("the", "cat"), 1, 0.0, "NOUN")
         tgt = build_target_input(inst, vocab)
         sent = build_sentence_input(inst, vocab)
-        t_before = enc.encode(tgt).positions.data.copy()
-        s_before = enc.encode(sent).positions.data.copy()
+        t_before = enc.encode(one(tgt)).positions.data.copy()
+        s_before = enc.encode(one(sent)).positions.data.copy()
         enc.params["emb.pos"].data += 7.0
         enc.params["emb.seg"].data -= 3.0
-        assert enc.encode(tgt).positions.data.tobytes() == t_before.tobytes()
-        assert enc.encode(sent).positions.data.tobytes() != s_before.tobytes()
+        assert enc.encode(one(tgt)).positions.data.tobytes() == t_before.tobytes()
+        assert enc.encode(one(sent)).positions.data.tobytes() != s_before.tobytes()
 
     def test_length_overflow(self, vocab):
         enc = Encoder(small_cfg(vocab, max_positions=4), Rng(0, "init"))
         with pytest.raises(ContractError):
-            enc.encode(sentence_input(vocab, tokens=("the", "cat", "sat", "on", "mat"), target=1))
+            enc.encode(one(sentence_input(vocab, tokens=("the", "cat", "sat", "on", "mat"), target=1)))
 
     def test_id_out_of_range(self, vocab):
         enc = Encoder(small_cfg(vocab), Rng(0, "init"))
         bad = TargetInput(ids=(2, len(vocab) + 10, 3), target_span=(1, 2))
         with pytest.raises(VocabError):
-            enc.encode(bad)
+            enc.encode(one(bad))
 
     def test_bad_mode(self, vocab):
         enc = Encoder(small_cfg(vocab), Rng(0, "init"))
         with pytest.raises(ContractError):
-            enc.encode(sentence_input(vocab), mode="test")
+            enc.encode(one(sentence_input(vocab)), mode="test")
 
     def test_train_without_rng(self, vocab):
         enc = Encoder(small_cfg(vocab), Rng(0, "init"))
         with pytest.raises(ContractError):
-            enc.encode(sentence_input(vocab), mode="train")
+            enc.encode(one(sentence_input(vocab)), mode="train")
 
 
 class TestPooling:
@@ -157,24 +163,24 @@ class TestPooling:
     def test_mean_matches_hand_average(self, vocab):
         enc = Encoder(small_cfg(vocab), Rng(6, "init"))
         inp = sentence_input(vocab, tokens=("the", "big", "cat", "sat"), target=2)
-        out = enc.encode(inp)
+        out = enc.encode(one(inp))
         s, e = inp.target_span
-        got = pool_span(out, (s, e)).data
-        want = out.positions.data[s:e].mean(axis=0)
+        got = pool_span(out, [(s, e)]).data[0]
+        want = out.positions.data[0, s:e].mean(axis=0)
         np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_cls_pooling_returns_cls(self, vocab):
         enc = Encoder(small_cfg(vocab), Rng(6, "init"))
-        out = enc.encode(sentence_input(vocab))
-        np.testing.assert_array_equal(pool_span(out, (1, 2), pooling="cls").data, out.cls.data)
+        out = enc.encode(one(sentence_input(vocab)))
+        np.testing.assert_array_equal(pool_span(out, [(1, 2)], pooling="cls").data, out.cls.data)
 
     def test_empty_span_rejected(self, vocab):
         enc = Encoder(small_cfg(vocab), Rng(6, "init"))
-        out = enc.encode(sentence_input(vocab))
+        out = enc.encode(one(sentence_input(vocab)))
         with pytest.raises(ContractError):
-            pool_span(out, (2, 2))
+            pool_span(out, [(2, 2)])
         with pytest.raises(ContractError):
-            pool_span(out, (1, 99))
+            pool_span(out, [(1, 99)])
 
 
 class TestEncoderGradients:
@@ -191,7 +197,7 @@ class TestEncoderGradients:
         def build(*tensors):
             for n, t in zip(names, tensors):
                 enc.params[n] = t
-            out = enc.encode(inp)
+            out = enc.encode(one(inp))
             return ad.tsum(ad.mul(out.positions, Tensor(proj)))
 
         check_grads(build, arrays, n_probes=60, rng=np.random.default_rng(9))
@@ -238,15 +244,14 @@ class TestCheckpointFile:
             load_checkpoint(path)
 
     def test_encoder_restore_reproduces_outputs(self, vocab, tmp_path):
-        cfg = small_cfg(vocab)
-        enc = Encoder(cfg, Rng(11, "init"))
-        inp = sentence_input(vocab)
-        want = enc.encode(inp).positions.data.copy()
-        path = tmp_path / "enc.bin"
-        save_checkpoint(path, {"kind": "encoder", **cfg.to_dict()},
-                        {k: t.data for k, t in enc.params.items()})
+        cfg = ModelConfig(encoder=small_cfg(vocab))
+        model = MetaphorModel(cfg, vocab, seed=11)
+        inp = one(sentence_input(vocab))
+        want = model.encoder.encode(inp).positions.data.copy()
+        path = tmp_path / "model.bin"
+        save_checkpoint(path, {"kind": "model", "model": cfg.to_dict()}, model.export_arrays())
         meta, arrays = load_checkpoint(path)
-        enc2 = Encoder(EncoderConfig.from_dict({k: meta[k] for k in cfg.to_dict()}), Rng(99, "other"))
-        enc2.load_arrays(arrays)
-        got = enc2.encode(inp).positions.data
+        model2 = MetaphorModel(ModelConfig.from_dict(meta["model"]), vocab, seed=99)
+        model2.load_arrays(arrays)
+        got = model2.encoder.encode(inp).positions.data
         assert got.tobytes() == want.tobytes()

@@ -2,11 +2,16 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 
+import melbert
 from melbert.bpe import train_bpe
 from melbert.data import make_synthetic_corpus
 from melbert.errors import ContractError
@@ -215,6 +220,16 @@ class TestEvaluateModel:
     def test_empty_rejected(self):
         with pytest.raises(ContractError):
             evaluate_model(ScriptedModel([0]), [])
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    """Loading scipy.stats takes about a second; only the t-test and the
+    rank correlation need it, so importing the package must not."""
+    src = Path(melbert.__file__).resolve().parents[1]
+    code = "import sys, melbert.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 class TestZeroShot:

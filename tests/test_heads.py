@@ -45,7 +45,7 @@ class TestHeadForward:
         for _ in range(50):
             a = rng.standard_normal(8)
             b = rng.standard_normal(8)
-            got = interaction_head(Tensor(a), Tensor(b), hp).data
+            got = interaction_head(Tensor(a[None]), Tensor(b[None]), hp).data[0]
             want = head_oracle(a, b, hp.f_w.data, hp.f_b.data)
             np.testing.assert_allclose(got, want, atol=1e-12, rtol=0)
 
@@ -55,7 +55,7 @@ class TestHeadForward:
         for _ in range(50):
             a = rng.standard_normal(8)
             b = rng.standard_normal(8)
-            got = contrast_head(Tensor(a), Tensor(b), hp).data
+            got = contrast_head(Tensor(a[None]), Tensor(b[None]), hp).data[0]
             want = head_oracle(a, b, hp.g_w.data, hp.g_b.data)
             np.testing.assert_allclose(got, want, atol=1e-12, rtol=0)
 
@@ -65,7 +65,7 @@ class TestHeadForward:
         for _ in range(50):
             hf = rng.standard_normal(6)
             hg = rng.standard_normal(6)
-            got = combine_pair(Tensor(hf), Tensor(hg), hp).item()
+            got = combine_pair(Tensor(hf[None]), Tensor(hg[None]), hp).item()
             want = np_sigmoid(np.concatenate([hf, hg]) @ hp.w.data + hp.b.data)
             np.testing.assert_allclose(got, want, atol=1e-12, rtol=0)
 
@@ -74,22 +74,22 @@ class TestHeadForward:
         hp = init_head_params("no_spv", hidden_dim=8, head_dim=6, rng=Rng(3, "h"))
         for _ in range(50):
             h = rng.standard_normal(6)
-            got = combine_single(Tensor(h), hp).item()
+            got = combine_single(Tensor(h[None]), hp).item()
             want = np_sigmoid(h @ hp.w.data + hp.b.data)
             np.testing.assert_allclose(got, want, atol=1e-12, rtol=0)
 
     def test_scores_always_in_open_interval(self):
         hp = HeadParams(w=Tensor(np.full(4, 1e6)), b=Tensor(np.array(0.0)))
-        hi = combine_single(Tensor(np.ones(4)), hp).item()
-        lo = combine_single(Tensor(-np.ones(4)), hp).item()
+        hi = combine_single(Tensor(np.ones((1, 4))), hp).item()
+        lo = combine_single(Tensor(-np.ones((1, 4))), hp).item()
         assert 0.0 < lo < hi < 1.0
 
     def test_dimension_mismatch(self):
         hp = init_head_params("melbert", hidden_dim=8, head_dim=6, rng=Rng(4, "h"))
         with pytest.raises(DimensionError):
-            interaction_head(Tensor(np.ones(8)), Tensor(np.ones(5)), hp)
+            interaction_head(Tensor(np.ones((1, 8))), Tensor(np.ones((1, 5))), hp)
         with pytest.raises(DimensionError):
-            combine_single(Tensor(np.ones(3)), hp)
+            combine_single(Tensor(np.ones((1, 3))), hp)
 
 
 class TestParamAccounting:

@@ -9,6 +9,8 @@ from melbert.inputs import (
     SEG_LOC,
     SEG_OTHER,
     SEG_TAR,
+    InputBatch,
+    TargetInput,
     build_pair_input,
     build_sentence_input,
     build_target_input,
@@ -212,3 +214,33 @@ class TestPairInput:
         assert p.ids[-1] == SEP_ID
         sep1 = [i for i, t in enumerate(p.ids) if t == SEP_ID][0]
         assert vocab.decode(p.ids[sep1 + 1 : -1]) == "the"
+
+
+class TestInputBatch:
+    """Stacking equal-length inputs for one encoder pass."""
+
+    def test_sentence_rows_keep_their_fields(self, vocab):
+        a = build_sentence_input(Instance("a", ("the", "cat", "sat"), 1, 0.0, "NOUN"), vocab)
+        b = build_sentence_input(Instance("b", ("the", "dog", "ran"), 2, 1.0, "VERB"), vocab)
+        assert len(a.ids) == len(b.ids)
+        batch = InputBatch.stack([a, b])
+        assert batch.ids.tolist() == [list(a.ids), list(b.ids)]
+        assert batch.positions.tolist() == [list(a.positions), list(b.positions)]
+        assert batch.segments.tolist() == [list(a.segments), list(b.segments)]
+        assert batch.spans.tolist() == [list(a.target_span), list(b.target_span)]
+
+    def test_target_rows_have_no_positions_or_segments(self, vocab):
+        batch = InputBatch.stack([build_target_input(Instance("a", ("cat",), 0, 0.0, "NOUN"), vocab)])
+        assert batch.positions is None and batch.segments is None
+
+    def test_mixed_lengths_kinds_and_empty_rejected(self, vocab):
+        inst = Instance("a", ("the", "cat", "sat"), 1, 0.0, "NOUN")
+        sent = build_sentence_input(inst, vocab)
+        longer = build_sentence_input(Instance("b", ("the", "cat", "sat", "on", "the", "mat"), 1, 0.0, "NOUN"), vocab)
+        same_length_target = TargetInput(ids=sent.ids, target_span=sent.target_span)
+        with pytest.raises(ContractError):
+            InputBatch.stack([sent, longer])
+        with pytest.raises(ContractError):
+            InputBatch.stack([sent, same_length_target])
+        with pytest.raises(ContractError):
+            InputBatch.stack([])

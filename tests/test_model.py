@@ -5,7 +5,6 @@ import pytest
 
 from fdcheck import check_grads
 
-from melbert import autodiff as ad
 from melbert.autodiff import Tape, Tensor
 from melbert.bpe import train_bpe
 from melbert.data import Instance, make_synthetic_corpus
@@ -82,6 +81,42 @@ class TestScoring:
         assert a.parameters()["enc.emb.tok"].data.tobytes() != b.parameters()["enc.emb.tok"].data.tobytes()
 
 
+class TestBatchedScoring:
+    """A batch scores its instances as they score one at a time."""
+
+    INSTANCES = CORPUS[:8]  # ids of length 10, 11 and 12; the target "sail" three times
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_mixed_length_batch_matches_one_at_a_time(self, vocab, variant):
+        batched = make_model(vocab, variant, seed=5)
+        prepared = [batched.build_inputs(i) for i in self.INSTANCES]
+        assert len({len(s.ids) for s, _ in prepared}) >= 3
+        assert len({i.target_word for i in self.INSTANCES}) < len(self.INSTANCES)
+        got = batched.score_batch([s for s, _ in prepared], [g for _, g in prepared]).data
+
+        single = make_model(vocab, variant, seed=5)
+        want = np.array([single.predict(i).score for i in self.INSTANCES])
+        np.testing.assert_allclose(got, want, atol=1e-12, rtol=0)
+        assert batched.counters == single.counters
+
+    def test_train_mode_batch_is_deterministic(self, vocab):
+        model = make_model(vocab)
+        prepared = [model.build_inputs(i) for i in self.INSTANCES]
+        sents, tgts = [s for s, _ in prepared], [g for _, g in prepared]
+        a = model.score_batch(sents, tgts, mode="train", rng=Rng(4, "drop")).data
+        b = model.score_batch(sents, tgts, mode="train", rng=Rng(4, "drop")).data
+        assert a.tobytes() == b.tobytes()
+        assert model.counters.target == 2 * len(prepared)  # training never reads the cache
+
+    def test_misaligned_batch_rejected(self, vocab):
+        model = make_model(vocab)
+        sent, tgt = model.build_inputs(CORPUS[0])
+        with pytest.raises(ContractError):
+            model.score_batch([sent, sent], [tgt])
+        with pytest.raises(ContractError):
+            model.score_batch([], [])
+
+
 class TestDeadParameters:
     """Ablated variants must ignore the other head's parameters exactly."""
 
@@ -141,10 +176,10 @@ class TestTargetCache:
         model = make_model(vocab)
         inst = CORPUS[0]
         tgt = model.build_inputs(inst)[1]
-        v1 = model._target_vector(tgt, "eval", None).data.copy()  # miss
-        v2 = model._target_vector(tgt, "eval", None).data.copy()  # hit
+        v1 = model._target_vectors([tgt], "eval", None).data.copy()  # miss
+        v2 = model._target_vectors([tgt], "eval", None).data.copy()  # hit
         model.mark_updated()
-        v3 = model._target_vector(tgt, "eval", None).data.copy()  # recomputed
+        v3 = model._target_vectors([tgt], "eval", None).data.copy()  # recomputed
         assert v1.tobytes() == v2.tobytes() == v3.tobytes()
 
     def test_invalidation_on_update(self, vocab):
@@ -185,8 +220,8 @@ class TestEndToEndGradient:
                     model.encoder.params[n[4:]] = t
                 else:
                     setattr(model.heads, n[5:].replace(".", "_"), t)
-            scores = [ad.reshape(model.score_inputs(s, g, mode="eval"), (1,)) for s, g in prepared]
-            return bce_loss(ad.concat(scores), labels, pos_weight=2.0)
+            scores = model.score_batch([s for s, _ in prepared], [g for _, g in prepared], mode="eval")
+            return bce_loss(scores, labels, pos_weight=2.0)
 
         # eval-mode scoring caches target vectors; disable to keep grads exact
         model._target_cache = _NoCache()
