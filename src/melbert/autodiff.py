@@ -9,6 +9,11 @@ records once in reverse, accumulating into ``Tensor.grad``.
 
 Evaluation code simply runs without a tape: nothing is recorded and no
 graph memory accumulates.
+
+Besides the primitive ops, ``self_attention`` and ``feed_forward`` each
+run a whole transformer sublayer as one record with a hand-written
+backward. They share their numpy formulas with ``softmax``, ``gelu`` and
+``dropout``.
 """
 
 from __future__ import annotations
@@ -403,14 +408,27 @@ def softmax(a, axis: int = -1) -> Tensor:
     a = as_tensor(a)
     if not -a.data.ndim <= axis < a.data.ndim:
         raise ContractError(f"softmax axis {axis} invalid for shape {a.data.shape}")
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=axis, keepdims=True)
+    s = _softmax(a.data, axis)
 
     def bw(g):
-        return (s * (g - (g * s).sum(axis=axis, keepdims=True)),)
+        return (_softmax_grad(s, g, axis),)
 
     return _make(s, (a,), bw)
+
+
+def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
+    """Max-subtracted softmax of ``x`` along ``axis``."""
+    s = x - x.max(axis=axis, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=axis, keepdims=True)
+    return s
+
+
+def _softmax_grad(s: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
+    """Input gradient of a softmax whose output is ``s``, given output gradient ``g``."""
+    dx = g - (g * s).sum(axis=axis, keepdims=True)
+    dx *= s
+    return dx
 
 
 def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
@@ -421,10 +439,10 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
         raise DimensionError(
             f"layer_norm gain/bias must be 1-D of length {d}, got {gain.data.shape} and {bias.data.shape}"
         )
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
+    xhat = x.data - x.data.sum(axis=-1, keepdims=True) / d
+    var = (xhat * xhat).sum(axis=-1, keepdims=True) / d  # np.var's formula without its overhead
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
+    xhat *= inv
     gd = gain.data
 
     def bw(g):
@@ -448,15 +466,42 @@ def gelu(a) -> Tensor:
     """Gaussian error linear unit, tanh approximation."""
     a = as_tensor(a)
     x = a.data
-    x2 = x * x  # products, not x**3: numpy sends integer powers above 2 through pow
-    inner = _GELU_C * (x + 0.044715 * x2 * x)
-    t = np.tanh(inner)
+    out, t = _gelu(x)
 
     def bw(g):
-        dinner = _GELU_C * (1.0 + 3 * 0.044715 * x2)
-        return (g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner),)
+        return (g * _gelu_grad(x, t),)
 
-    return _make(0.5 * x * (1.0 + t), (a,), bw)
+    return _make(out, (a,), bw)
+
+
+def _gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """GELU(x) = 0.5 x (1 + t) and its tanh term t = tanh(c (x + 0.044715 x^3))."""
+    t = x * x  # products, not x**3: numpy sends integer powers above 2 through pow
+    t *= 0.044715
+    t *= x
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    out = 1.0 + t
+    out *= x
+    out *= 0.5
+    return out, t
+
+
+def _gelu_grad(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """dGELU/dx at x, given its tanh term ``t``."""
+    d = x * x
+    d *= 3 * 0.044715
+    d += 1.0
+    d *= _GELU_C
+    d *= x
+    sech2 = t * t
+    np.subtract(1.0, sech2, out=sech2)
+    d *= sech2
+    d += t
+    d += 1.0
+    d *= 0.5
+    return d
 
 
 def sigmoid(a) -> Tensor:
@@ -478,16 +523,153 @@ def sigmoid(a) -> Tensor:
 
 def dropout(a, p: float, training: bool, rng=None) -> Tensor:
     """Inverted dropout: survivors scaled by 1/(1-p); identity at eval."""
-    if not 0.0 <= p < 1.0:
-        raise ConfigError(f"dropout rate must lie in [0, 1), got {p}")
     a = as_tensor(a)
-    if not training or p == 0.0:
+    if not _drops(p, training, rng):
         return a
-    if rng is None:
-        raise ContractError("dropout in training mode needs an rng")
-    mask = (rng.uniform(a.data.shape) >= p) / (1.0 - p)
+    mask = _dropout_mask(a.data.shape, p, rng)
 
     def bw(g):
         return (g * mask,)
 
     return _make(a.data * mask, (a,), bw)
+
+
+def _drops(p: float, training: bool, rng) -> bool:
+    """Whether dropout at rate p applies; rejects a bad rate, or training without an rng."""
+    if not 0.0 <= p < 1.0:
+        raise ConfigError(f"dropout rate must lie in [0, 1), got {p}")
+    if not training or p == 0.0:
+        return False
+    if rng is None:
+        raise ContractError("dropout in training mode needs an rng")
+    return True
+
+
+def _dropout_mask(shape, p: float, rng) -> np.ndarray:
+    """Inverted-dropout multipliers: 0 with probability p, else 1/(1-p)."""
+    return (rng.uniform(shape) >= p) / (1.0 - p)
+
+
+# ---------------------------------------------------------------------------
+# fused transformer sublayers: one tape record each, hand-written backward
+
+
+def _length_groups(lengths: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(sequence indices [G], row indices [G, L]) per distinct length L, shortest first.
+
+    The sequences lie end to end in a packed [T, ...] array, ``lengths[b]``
+    rows each, in order.
+    """
+    offsets = np.cumsum(lengths) - lengths
+    by_length: dict[int, list[int]] = {}
+    for b, L in enumerate(lengths.tolist()):
+        by_length.setdefault(L, []).append(b)
+    groups = []
+    for L in sorted(by_length):
+        which = np.array(by_length[L])
+        groups.append((which, offsets[which, None] + np.arange(L)))
+    return groups
+
+
+def self_attention(x, weights, lengths, num_heads: int, p: float = 0.0, training: bool = False,
+                   rng=None, keep: list | None = None) -> Tensor:
+    """Multi-head self-attention sublayer over packed sequences.
+
+    ``x`` is [T, d]: sequences of ``lengths`` rows each, packed end to end.
+    ``weights`` is (wq, bq, wk, bk, wv, bv, wo, bo), [d, d] matrices and [d]
+    biases for the query, key, value and output projections. Rows are
+    grouped by sequence length, so every row attends to exactly the rows
+    of its own sequence, with no padding and no mask. In training,
+    dropout at rate p applies to the attention probabilities and to the
+    output. If ``keep`` is a list, each sequence's attention
+    probabilities [H, L, L] (before dropout) are appended to it in order.
+    """
+    x = as_tensor(x)
+    weights = tuple(as_tensor(w) for w in weights)
+    wq, bq, wk, bk, wv, bv, wo, bo = weights
+    lengths = np.asarray(lengths, dtype=np.int64)
+    T, d = x.data.shape
+    if lengths.ndim != 1 or lengths.sum() != T or (lengths < 1).any():
+        raise ContractError(f"sequence lengths {lengths.tolist()} do not partition {T} rows")
+    if d % num_heads != 0:
+        raise DimensionError(f"width {d} not divisible by {num_heads} heads")
+    drop = _drops(p, training, rng)
+    heads, dh = num_heads, d // num_heads
+    scale = 1.0 / math.sqrt(dh)
+    w_qkv = np.concatenate([wq.data, wk.data, wv.data], axis=1)
+    qkv = x.data @ w_qkv
+    qkv += np.concatenate([bq.data, bk.data, bv.data])
+    ctx = np.empty((T, d))
+    groups = []
+    kept = {}
+    for which, rows in _length_groups(lengths):
+        G, L = rows.shape
+        q, k, v = qkv[rows].reshape(G, L, 3, heads, dh).transpose(2, 0, 3, 1, 4)  # [G, H, L, dh] each
+        scores = q @ k.swapaxes(-1, -2)
+        scores *= scale
+        probs = _softmax(scores, -1)
+        if keep is not None:
+            kept.update(zip(which.tolist(), probs.copy()))
+        mask = _dropout_mask(probs.shape, p, rng) if drop else None
+        dropped = probs if mask is None else probs * mask
+        ctx[rows] = (dropped @ v).transpose(0, 2, 1, 3).reshape(G, L, d)
+        groups.append((rows, q, k, v, probs, mask, dropped))
+    if keep is not None:
+        keep.extend(kept[b] for b in range(len(lengths)))
+    out = ctx @ wo.data
+    out += bo.data
+    out_mask = _dropout_mask(out.shape, p, rng) if drop else None
+    if out_mask is not None:
+        out *= out_mask
+
+    def bw(g):
+        if out_mask is not None:
+            g = g * out_mask
+        d_ctx = g @ wo.data.T
+        d_qkv = np.empty((T, 3 * d))
+        for rows, q, k, v, probs, mask, dropped in groups:
+            G, L = rows.shape
+            dc = d_ctx[rows].reshape(G, L, heads, dh).transpose(0, 2, 1, 3)
+            dv = dropped.swapaxes(-1, -2) @ dc
+            dp = dc @ v.swapaxes(-1, -2)
+            if mask is not None:
+                dp *= mask
+            ds = _softmax_grad(probs, dp, -1)
+            ds *= scale
+            dq = ds @ k
+            dk = ds.swapaxes(-1, -2) @ q
+            d_qkv[rows] = np.stack([dq, dk, dv]).transpose(1, 3, 0, 2, 4).reshape(G, L, 3 * d)
+        d_w = x.data.T @ d_qkv
+        d_b = d_qkv.sum(axis=0)
+        return (d_qkv @ w_qkv.T,
+                d_w[:, :d], d_b[:d], d_w[:, d:2 * d], d_b[d:2 * d], d_w[:, 2 * d:], d_b[2 * d:],
+                ctx.T @ g, g.sum(axis=0))
+
+    return _make(out, (x, *weights), bw)
+
+
+def feed_forward(x, w1, b1, w2, b2, p: float = 0.0, training: bool = False, rng=None) -> Tensor:
+    """Position-wise feed-forward sublayer: linear, GELU, linear, then dropout.
+
+    ``x`` is [N, d], ``w1`` [d, f] and ``w2`` [f, d]. In training, dropout
+    at rate p applies to the output.
+    """
+    x, w1, b1, w2, b2 = (as_tensor(t) for t in (x, w1, b1, w2, b2))
+    drop = _drops(p, training, rng)
+    h = x.data @ w1.data
+    h += b1.data
+    a, t = _gelu(h)
+    out = a @ w2.data
+    out += b2.data
+    mask = _dropout_mask(out.shape, p, rng) if drop else None
+    if mask is not None:
+        out *= mask
+
+    def bw(g):
+        if mask is not None:
+            g = g * mask
+        da = g @ w2.data.T
+        da *= _gelu_grad(h, t)
+        return da @ w1.data.T, x.data.T @ da, da.sum(axis=0), a.T @ g, g.sum(axis=0)
+
+    return _make(out, (x, w1, b1, w2, b2), bw)

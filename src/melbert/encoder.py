@@ -7,10 +7,13 @@ function of the sub-token ids. Each block is multi-head self-attention
 with a residual then layer norm, followed by a two-layer GELU feedforward
 with a residual then layer norm (norms after the residual adds).
 
-The forward pass runs on an ``InputBatch``: G inputs of one id length
-stacked row-wise. Dense layers see the batch as G*L rows; attention runs
-per row, so rows never attend to each other and no padding mask is
-needed. A single instance is a batch of one.
+The forward pass runs on an ``InputBatch``: B inputs of one kind, at any
+id lengths, packed end to end into T rows. Embeddings, dropouts, layer
+norms and feed-forward layers run once over all T rows; inside the
+attention op, rows are grouped by sequence length so each row attends
+only to its own sequence, with no padding and no mask. Each attention
+and feed-forward sublayer is one tape record. A single instance is a
+batch of one.
 
 Desk-scale defaults (2 layers, 2 heads, width 64) keep every test fast;
 the full-scale geometry (12/12/768) is reachable through the same config.
@@ -61,31 +64,34 @@ class EncoderConfig:
 
 @dataclass
 class EncoderOutput:
-    cls: Tensor                      # [G, d], one sequence-level vector per row
-    positions: Tensor                # [G, L, d], one vector per input id
-    attentions: Optional[list[np.ndarray]] = None  # per layer [G, H, L, L]
+    cls: Tensor                      # [B, d], each input's first row
+    positions: Tensor                # [T, d], one vector per input id, inputs packed end to end
+    offsets: np.ndarray              # [B], first row of each input in ``positions``
+    lengths: np.ndarray              # [B], row count of each input
+    attentions: Optional[list[list[np.ndarray]]] = None  # per layer, per input [H, L, L]
 
 
 def pool_span(output: EncoderOutput, spans, pooling: str = "mean") -> Tensor:
-    """Span vectors [G, d]: each row's mean over its span, or its [CLS] row.
+    """Span vectors [B, d]: each input's mean over its span, or its [CLS] row.
 
-    ``spans`` holds one half-open (start, end) pair per batch row.
+    ``spans`` holds one half-open (start, end) pair per input, counted
+    from the input's first row. The mean is one matmul with a [B, T]
+    averaging matrix.
     """
     if pooling == "cls":
         return output.cls
     if pooling != "mean":
         raise ConfigError(f"unknown pooling {pooling!r} (mean or cls)")
-    G, L, _ = output.positions.shape
+    B = len(output.lengths)
     spans = np.asarray(spans, dtype=np.int64)
-    if spans.shape != (G, 2):
-        raise ContractError(f"need one span per row: {G} rows, spans of shape {spans.shape}")
+    if spans.shape != (B, 2):
+        raise ContractError(f"need one span per input: {B} inputs, spans of shape {spans.shape}")
     s, e = spans[:, :1], spans[:, 1:]
-    if not ((0 <= s) & (s < e) & (e <= L)).all():
-        raise ContractError(f"span empty or outside sequence of length {L}: {spans.tolist()}")
-    cols = np.arange(L)
-    weights = ((cols >= s) & (cols < e)) / (e - s)   # [G, L], each row averages its span
-    pooled = ad.matmul(Tensor(weights[:, None, :]), output.positions)
-    return ad.reshape(pooled, (G, -1))
+    if not ((0 <= s) & (s < e) & (e <= output.lengths[:, None])).all():
+        raise ContractError(f"span empty or outside its input (lengths {output.lengths.tolist()}): {spans.tolist()}")
+    rows = np.arange(output.positions.shape[0]) - output.offsets[:, None]  # [B, T], row within each input
+    weights = ((rows >= s) & (rows < e)) / (e - s)
+    return ad.matmul(Tensor(weights), output.positions)
 
 
 class Encoder:
@@ -134,51 +140,30 @@ class Encoder:
         if training and rng is None:
             raise ContractError("training-mode encode needs an rng for dropout")
         cfg = self.cfg
-        G, L = batch.ids.shape
-        if L == 0:
+        if batch.lengths.min() < 1:
             raise ContractError("cannot encode an empty id sequence")
-        if L > cfg.max_positions:
-            raise ContractError(f"sequence length {L} exceeds max_positions {cfg.max_positions}")
+        if batch.lengths.max() > cfg.max_positions:
+            raise ContractError(f"sequence length {batch.lengths.max()} exceeds max_positions {cfg.max_positions}")
 
         p = cfg.dropout
         P = self.params
-        N = G * L
-        x = ad.embedding(P["emb.tok"], batch.ids.reshape(N))
+        x = ad.embedding(P["emb.tok"], batch.ids)
         if batch.positions is not None:
-            x = ad.add(x, ad.embedding(P["emb.pos"], batch.positions.reshape(N)))
-            x = ad.add(x, ad.embedding(P["emb.seg"], batch.segments.reshape(N)))
+            x = ad.add(x, ad.embedding(P["emb.pos"], batch.positions))
+            x = ad.add(x, ad.embedding(P["emb.seg"], batch.segments))
         x = ad.dropout(x, p, training, rng)
 
-        d = cfg.hidden_dim
-        heads = cfg.num_heads
-        dh = d // heads
-        scale = 1.0 / np.sqrt(dh)
-        attentions: list[np.ndarray] | None = [] if keep_attention else None
-
+        attentions: list[list[np.ndarray]] | None = [] if keep_attention else None
         for i in range(cfg.num_layers):
-            def proj(name):
-                return ad.add(ad.matmul(x, P[f"layer{i}.attn.{name}.w"]), P[f"layer{i}.attn.{name}.b"])
-
-            def split_heads(t):
-                return ad.transpose(ad.reshape(t, (G, L, heads, dh)), (0, 2, 1, 3))
-
-            q = split_heads(proj("q"))
-            k = split_heads(proj("k"))
-            v = split_heads(proj("v"))
-            scores = ad.mul(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), Tensor(scale))
-            probs = ad.softmax(scores, axis=-1)
+            attn = [P[f"layer{i}.attn.{proj}.{wb}"] for proj in "qkvo" for wb in "wb"]
+            kept = [] if attentions is not None else None
+            a = ad.self_attention(x, attn, batch.lengths, cfg.num_heads, p, training, rng, kept)
             if attentions is not None:
-                attentions.append(probs.data.copy())
-            probs = ad.dropout(probs, p, training, rng)
-            ctx = ad.reshape(ad.transpose(ad.matmul(probs, v), (0, 2, 1, 3)), (N, d))
-            attn_out = ad.add(ad.matmul(ctx, P[f"layer{i}.attn.o.w"]), P[f"layer{i}.attn.o.b"])
-            attn_out = ad.dropout(attn_out, p, training, rng)
-            x = ad.layer_norm(ad.add(x, attn_out), P[f"layer{i}.ln1.g"], P[f"layer{i}.ln1.b"])
-
-            h = ad.gelu(ad.add(ad.matmul(x, P[f"layer{i}.ffn.w1"]), P[f"layer{i}.ffn.b1"]))
-            h = ad.add(ad.matmul(h, P[f"layer{i}.ffn.w2"]), P[f"layer{i}.ffn.b2"])
-            h = ad.dropout(h, p, training, rng)
+                attentions.append(kept)
+            x = ad.layer_norm(ad.add(x, a), P[f"layer{i}.ln1.g"], P[f"layer{i}.ln1.b"])
+            h = ad.feed_forward(x, P[f"layer{i}.ffn.w1"], P[f"layer{i}.ffn.b1"],
+                                P[f"layer{i}.ffn.w2"], P[f"layer{i}.ffn.b2"], p, training, rng)
             x = ad.layer_norm(ad.add(x, h), P[f"layer{i}.ln2.g"], P[f"layer{i}.ln2.b"])
 
-        positions = ad.reshape(x, (G, L, d))
-        return EncoderOutput(cls=positions[:, 0], positions=positions, attentions=attentions)
+        return EncoderOutput(cls=x[batch.offsets], positions=x, offsets=batch.offsets,
+                             lengths=batch.lengths, attentions=attentions)

@@ -13,8 +13,9 @@ When a sentence overflows max_len, sub-tokens are dropped one at a time
 from whichever sentence end lies farther from the target span; the
 specials and the target itself are never dropped.
 
-The encoder consumes an ``InputBatch``: inputs of one kind and one id
-length stacked row-wise, so a whole group runs through one forward pass.
+The encoder consumes an ``InputBatch``: inputs of one kind, at any id
+lengths, packed end to end into one id array, so a whole batch of them
+runs through one forward pass.
 """
 
 from __future__ import annotations
@@ -66,29 +67,39 @@ class TargetInput:
 
 @dataclass(frozen=True, eq=False)
 class InputBatch:
-    """Equal-length inputs of one kind, stacked row-wise for one encode."""
+    """Inputs of one kind, packed end to end for one encoder pass.
 
-    ids: np.ndarray                   # [G, L]
-    positions: Optional[np.ndarray]   # [G, L]; None for target inputs
-    segments: Optional[np.ndarray]    # [G, L]; None for target inputs
-    spans: np.ndarray                 # [G, 2], one half-open target span per row
+    Input b owns rows ``offsets[b]`` to ``offsets[b] + lengths[b]`` of the
+    packed arrays; its target span counts from its own first row.
+    """
+
+    ids: np.ndarray                   # [T], every input's ids, concatenated
+    positions: Optional[np.ndarray]   # [T]; None for target inputs
+    segments: Optional[np.ndarray]    # [T]; None for target inputs
+    offsets: np.ndarray               # [B], first packed row of each input
+    lengths: np.ndarray               # [B], id count of each input
+    spans: np.ndarray                 # [B, 2], half-open target span within each input
 
     @classmethod
     def stack(cls, inputs) -> "InputBatch":
         inputs = list(inputs)
         if not inputs:
             raise ContractError("cannot stack an empty list of inputs")
-        lengths = {len(inp.ids) for inp in inputs}
-        if len(lengths) != 1:
-            raise ContractError(f"stacked inputs must share one id length, got {sorted(lengths)}")
         kinds = {type(inp) for inp in inputs}
         if len(kinds) != 1:
             raise ContractError("stacked inputs must all be sentence inputs or all target inputs")
         sentences = kinds == {SentenceInput}
+
+        def packed(field):
+            return np.fromiter((i for inp in inputs for i in getattr(inp, field)), dtype=np.int64)
+
+        lengths = np.array([len(inp.ids) for inp in inputs], dtype=np.int64)
         return cls(
-            ids=np.array([inp.ids for inp in inputs], dtype=np.int64),
-            positions=np.array([inp.positions for inp in inputs], dtype=np.int64) if sentences else None,
-            segments=np.array([inp.segments for inp in inputs], dtype=np.int64) if sentences else None,
+            ids=packed("ids"),
+            positions=packed("positions") if sentences else None,
+            segments=packed("segments") if sentences else None,
+            offsets=np.cumsum(lengths) - lengths,
+            lengths=lengths,
             spans=np.array([inp.target_span for inp in inputs], dtype=np.int64),
         )
 

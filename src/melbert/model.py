@@ -8,10 +8,10 @@ need a single encoder pass: all-to-all packs sentence and target into
 one unmarked sequence and classifies from [CLS]; the sequence-labeling
 baseline classifies from the segment-marked target vector directly.
 
-Scoring is batched: ``score_batch`` splits a batch into groups of equal
-id length, encodes each group in one pass, runs the heads on [B, d] rows
-and returns the scores in input order. Training scores a whole batch
-under one tape; a prediction is a batch of one.
+Scoring is batched: ``score_batch`` packs a batch's sentences, at any id
+lengths, into one encoder pass and its targets into another, runs the
+heads on [B, d] rows and returns the scores in input order. Training
+scores a whole batch under one tape; a prediction is a batch of one.
 
 Because the target pass sees no context, its vector depends only on the
 target's sub-token ids, so evaluation caches it per id sequence. Any
@@ -165,7 +165,7 @@ class MetaphorModel:
                 raise ContractError(
                     f"parameter {name!r} shape {arrays[name].shape} != expected {tensor.data.shape}"
                 )
-            tensor.data = arrays[name].astype(np.float64).copy()
+            tensor.data = np.array(arrays[name], dtype=np.float64)
         self.mark_updated()
 
     def export_arrays(self) -> dict[str, np.ndarray]:
@@ -183,25 +183,11 @@ class MetaphorModel:
 
     # -- scoring ---------------------------------------------------------
 
-    def _encode_grouped(self, inputs, mode: str, rng, poolings: tuple[str, ...]) -> list[Tensor]:
-        """One [n, d] tensor per pooling ("cls" or "mean") for n inputs, in input order.
-
-        Inputs of equal id length share one encoder pass; groups run in
-        order of first appearance, so the dropout draws are deterministic.
-        """
-        groups: dict[int, list[int]] = {}
-        for i, inp in enumerate(inputs):
-            groups.setdefault(len(inp.ids), []).append(i)
-        pooled: list[list[Tensor]] = [[] for _ in poolings]
-        order: list[int] = []
-        for rows in groups.values():
-            batch = InputBatch.stack([inputs[i] for i in rows])
-            out = self.encoder.encode(batch, mode, rng)
-            for parts, pooling in zip(pooled, poolings):
-                parts.append(pool_span(out, batch.spans, pooling))
-            order.extend(rows)
-        restore = np.argsort(order)
-        return [_gather(parts, restore) for parts in pooled]
+    def _encode(self, inputs, mode: str, rng, *poolings: str) -> list[Tensor]:
+        """One encoder pass over inputs of one kind; an [n, d] tensor per pooling ("cls" or "mean")."""
+        batch = InputBatch.stack(inputs)
+        out = self.encoder.encode(batch, mode, rng)
+        return [pool_span(out, batch.spans, pooling) for pooling in poolings]
 
     def _target_vectors(self, tgts: list[TargetInput], mode: str, rng) -> Tensor:
         """[B, d] isolated target vectors; eval mode reads and fills the cache.
@@ -213,7 +199,7 @@ class MetaphorModel:
         pooling = self.cfg.target_pooling
         if mode != "eval":
             self.counters.target += len(tgts)
-            return self._encode_grouped(tgts, mode, rng, (pooling,))[0]
+            return self._encode(tgts, mode, rng, pooling)[0]
         misses: dict[tuple[int, ...], TargetInput] = {}
         hits: dict[tuple[int, ...], np.ndarray] = {}
         for tgt in tgts:
@@ -228,7 +214,7 @@ class MetaphorModel:
         self.counters.target_cache_hits += len(tgts) - len(misses)
         parts = []
         if misses:
-            encoded = self._encode_grouped(list(misses.values()), mode, rng, (pooling,))[0]
+            (encoded,) = self._encode(list(misses.values()), mode, rng, pooling)
             for ids, v in zip(misses, encoded.data):
                 self._target_cache[ids] = v.copy()
             parts.append(encoded)
@@ -250,7 +236,7 @@ class MetaphorModel:
         variant = self.cfg.variant
         p = self.cfg.encoder.dropout
         training = mode == "train"
-        v_s, v_st = self._encode_grouped(sents, mode, rng, ("cls", "mean"))
+        v_s, v_st = self._encode(sents, mode, rng, "cls", "mean")
         self.counters.sentence += len(sents)
 
         if variant is Variant.BASE_ALL2ALL:

@@ -2,10 +2,10 @@
 resume bit-exactly, multi-seed orchestration, and bagged k-fold CV.
 
 A training batch is scored by one ``score_batch`` call under one tape:
-its sentences, and for the late-interaction variants its targets, are
-encoded in groups of equal id length, one encoder pass per group, so the
-mean loss over the batch backpropagates in a single sweep. (A prediction
-is the same path with a batch of one.) Every random decision after model
+its sentences are packed into one encoder pass and, for the
+late-interaction variants, its targets into another, so the mean loss
+over the batch backpropagates in a single sweep. (A prediction is the
+same path with a batch of one.) Every random decision after model
 init flows from one Philox stream whose state is written into the
 training checkpoint; restoring it replays the identical shuffle and
 dropout sequence, which is what makes an interrupted run byte-identical

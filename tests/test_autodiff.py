@@ -288,6 +288,124 @@ class TestGradientChecks:
         )
 
 
+def attention_by_primitives(x, weights, lengths, heads):
+    """The attention sublayer composed from primitive ops, one sequence at a time."""
+    wq, bq, wk, bk, wv, bv, wo, bo = weights
+    d = x.shape[1]
+    dh = d // heads
+    outs = []
+    start = 0
+    for L in lengths:
+        rows = x[start : start + L]
+        start += L
+
+        def split(w, b):
+            return ad.transpose(ad.reshape(ad.add(ad.matmul(rows, w), b), (L, heads, dh)), (1, 0, 2))
+
+        q, k, v = split(wq, bq), split(wk, bk), split(wv, bv)
+        probs = ad.softmax(ad.mul(ad.matmul(q, ad.transpose(k, (0, 2, 1))), Tensor(1.0 / np.sqrt(dh))))
+        outs.append(ad.reshape(ad.transpose(ad.matmul(probs, v), (1, 0, 2)), (L, d)))
+    return ad.add(ad.matmul(ad.concat(outs, axis=0), wo), bo)
+
+
+def feed_forward_by_primitives(x, w1, b1, w2, b2):
+    return ad.add(ad.matmul(ad.gelu(ad.add(ad.matmul(x, w1), b1)), w2), b2)
+
+
+class TestFusedSublayers:
+    """self_attention and feed_forward against their primitive compositions."""
+
+    LENGTHS = [3, 1, 5, 3, 1]  # three distinct lengths, one of them 1
+    D, HEADS, F = 8, 2, 12
+
+    def setup_method(self):
+        self.rng = np.random.default_rng(77)
+
+    def attention_arrays(self, T):
+        d = self.D
+        return [self.rng.standard_normal((T, d))] + [
+            self.rng.standard_normal(shape) * 0.5 for _ in "qkvo" for shape in ((d, d), (d,))
+        ]
+
+    def ffn_arrays(self, T):
+        d, f = self.D, self.F
+        return [self.rng.standard_normal((T, d)), self.rng.standard_normal((d, f)) * 0.5,
+                self.rng.standard_normal(f) * 0.5, self.rng.standard_normal((f, d)) * 0.5,
+                self.rng.standard_normal(d) * 0.5]
+
+    def attention(self, lengths, p=0.0, training=False, rng=None):
+        return lambda x, *w: ad.self_attention(x, w, lengths, self.HEADS, p, training, rng)
+
+    def reference(self, lengths):
+        return lambda x, *w: attention_by_primitives(x, w, lengths, self.HEADS)
+
+    def assert_same_values_and_grads(self, fused, reference, arrays):
+        proj = self.rng.standard_normal((arrays[0].shape[0], self.D))
+        results = []
+        for build in (fused, reference):
+            tensors = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+            with Tape():
+                out = build(*tensors)
+                loss = ad.tsum(ad.mul(out, Tensor(proj)))
+            ad.backward(loss)
+            results.append([out.data] + [t.grad for t in tensors])
+        for got, want in zip(*results):
+            np.testing.assert_allclose(got, want, atol=1e-12, rtol=0)
+
+    def test_attention_matches_primitives(self):
+        arrays = self.attention_arrays(sum(self.LENGTHS))
+        self.assert_same_values_and_grads(self.attention(self.LENGTHS), self.reference(self.LENGTHS), arrays)
+
+    def test_feed_forward_matches_primitives(self):
+        arrays = self.ffn_arrays(sum(self.LENGTHS))
+        self.assert_same_values_and_grads(ad.feed_forward, feed_forward_by_primitives, arrays)
+
+    def test_gradients_match_central_differences(self):
+        # a fresh child stream with a fixed name replays the identical dropout masks
+        T = sum(self.LENGTHS)
+        w = self.rng.standard_normal((T, self.D))
+        attn = self.attention(self.LENGTHS)
+        check_grads(lambda *a: ad.tsum(ad.mul(attn(*a), Tensor(w))),
+                    self.attention_arrays(T), n_probes=150, rng=self.rng)
+        check_grads(lambda *a: ad.tsum(ad.mul(ad.self_attention(a[0], a[1:], self.LENGTHS, self.HEADS,
+                                                                0.3, True, Rng(7, "fdmask")), Tensor(w))),
+                    self.attention_arrays(T), n_probes=150, rng=self.rng)
+        for p, training in ((0.0, False), (0.3, True)):
+            check_grads(lambda *a: ad.tsum(ad.mul(ad.feed_forward(*a, p, training, Rng(7, "fdmask")), Tensor(w))),
+                        self.ffn_arrays(T), n_probes=100, rng=self.rng)
+
+    def test_train_mode_repeatable_from_same_rng(self):
+        T = sum(self.LENGTHS)
+        attn_arrays, ffn_arrays = self.attention_arrays(T), self.ffn_arrays(T)
+        runs = []
+        for _ in range(2):
+            rng = Rng(3, "drop")
+            a = ad.self_attention(Tensor(attn_arrays[0]), [Tensor(w) for w in attn_arrays[1:]],
+                                  self.LENGTHS, self.HEADS, 0.3, True, rng)
+            f = ad.feed_forward(*[Tensor(w) for w in ffn_arrays], 0.3, True, rng)
+            runs.append(a.data.tobytes() + f.data.tobytes())
+        assert runs[0] == runs[1]
+        evaluated = ad.self_attention(Tensor(attn_arrays[0]), [Tensor(w) for w in attn_arrays[1:]],
+                                      self.LENGTHS, self.HEADS)
+        assert evaluated.data.tobytes() != runs[0][: evaluated.data.nbytes]
+
+    def test_other_lengths_leave_a_sequence_unchanged(self):
+        x, *w = self.attention_arrays(4)
+        alone = ad.self_attention(Tensor(x), [Tensor(a) for a in w], [4], self.HEADS).data
+        others = self.rng.standard_normal((1 + 2 + 6 + 3, self.D))
+        packed = np.concatenate([others[:3], x, others[3:]])  # lengths 1, 2, then x, then 6 and 3
+        out = ad.self_attention(Tensor(packed), [Tensor(a) for a in w], [1, 2, 4, 6, 3], self.HEADS).data
+        np.testing.assert_allclose(out[3:7], alone, atol=1e-12, rtol=0)
+        ffn = [Tensor(a) for a in self.ffn_arrays(1)[1:]]
+        np.testing.assert_allclose(ad.feed_forward(Tensor(packed), *ffn).data[3:7],
+                                   ad.feed_forward(Tensor(x), *ffn).data, atol=1e-12, rtol=0)
+
+    def test_lengths_must_partition_rows(self):
+        x, *w = self.attention_arrays(5)
+        with pytest.raises(ContractError):
+            ad.self_attention(Tensor(x), [Tensor(a) for a in w], [2, 2], self.HEADS)
+
+
 class TestBackwardSemantics:
     """Seeding, traversal, accumulation, and error contracts."""
 

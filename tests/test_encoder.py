@@ -88,9 +88,9 @@ class TestForward:
         inp = sentence_input(vocab)
         out = enc.encode(one(inp))
         L = len(inp.ids)
-        assert out.positions.shape == (1, L, 16)
+        assert out.positions.shape == (L, 16)
         assert out.cls.shape == (1, 16)
-        np.testing.assert_array_equal(out.cls.data, out.positions.data[:, 0])
+        np.testing.assert_array_equal(out.cls.data, out.positions.data[:1])
 
     def test_eval_deterministic_bitwise(self, vocab):
         enc = Encoder(small_cfg(vocab), Rng(1, "init"))
@@ -116,12 +116,16 @@ class TestForward:
 
     def test_attention_rows_are_distributions(self, vocab):
         enc = Encoder(small_cfg(vocab), Rng(2, "init"))
-        out = enc.encode(one(sentence_input(vocab)), keep_attention=True)
+        inputs = [sentence_input(vocab), sentence_input(vocab, tokens=("the", "big", "cat", "sat"), target=2)]
+        out = enc.encode(InputBatch.stack(inputs), keep_attention=True)
         assert len(out.attentions) == 2  # one per layer
-        for (a,) in out.attentions:  # the batch's only row
-            assert a.shape[0] == 2  # heads
-            assert (a >= 0).all()
-            np.testing.assert_allclose(a.sum(axis=-1), np.ones(a.shape[:2]), atol=1e-6)
+        for layer in out.attentions:
+            assert len(layer) == len(inputs)  # one per packed input
+            for a, inp in zip(layer, inputs):
+                L = len(inp.ids)
+                assert a.shape == (2, L, L)  # heads, each row over its own input only
+                assert (a >= 0).all()
+                np.testing.assert_allclose(a.sum(axis=-1), np.ones(a.shape[:2]), atol=1e-6)
 
     def test_target_input_ignores_position_and_segment_tables(self, vocab):
         enc = Encoder(small_cfg(vocab), Rng(4, "init"))
@@ -162,11 +166,12 @@ class TestPooling:
 
     def test_mean_matches_hand_average(self, vocab):
         enc = Encoder(small_cfg(vocab), Rng(6, "init"))
+        first = sentence_input(vocab)
         inp = sentence_input(vocab, tokens=("the", "big", "cat", "sat"), target=2)
-        out = enc.encode(one(inp))
+        out = enc.encode(InputBatch.stack([first, inp]))  # inp's rows start after first's
         s, e = inp.target_span
-        got = pool_span(out, [(s, e)]).data[0]
-        want = out.positions.data[0, s:e].mean(axis=0)
+        got = pool_span(out, [first.target_span, (s, e)]).data[1]
+        want = out.positions.data[len(first.ids) + s : len(first.ids) + e].mean(axis=0)
         np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_cls_pooling_returns_cls(self, vocab):
@@ -240,6 +245,32 @@ class TestCheckpointFile:
         path = tmp_path / "ck.bin"
         save_checkpoint(path, {}, {"w": np.ones((4, 4))})
         path.write_bytes(path.read_bytes()[:-40])
+        with pytest.raises(FormatError):
+            load_checkpoint(path)
+
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path):
+        path = tmp_path / "ck.bin"
+        save_checkpoint(path, {"v": 1}, {"w": np.ones(3)})
+        before = path.read_bytes()
+        with pytest.raises(FormatError):  # "a" is written before the bad name is reached
+            save_checkpoint(path, {"v": 2}, {"a": np.zeros(4), "bad name": np.zeros(2)})
+        assert path.read_bytes() == before
+        assert load_checkpoint(path)[0] == {"v": 1}
+        assert [p.name for p in tmp_path.iterdir()] == ["ck.bin"]
+
+    def test_duplicate_block_rejected(self, tmp_path):
+        path = tmp_path / "ck.bin"
+        save_checkpoint(path, {}, {"w": np.arange(2.0)})
+        blob = path.read_bytes()
+        block = blob[blob.index(b"param w") : blob.rindex(b"end\n")]
+        path.write_bytes(blob.replace(block, block + block))
+        with pytest.raises(FormatError, match="'w'"):
+            load_checkpoint(path)
+
+    def test_bytes_after_end_rejected(self, tmp_path):
+        path = tmp_path / "ck.bin"
+        save_checkpoint(path, {}, {"w": np.arange(2.0)})
+        path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(FormatError):
             load_checkpoint(path)
 

@@ -217,29 +217,39 @@ class TestPairInput:
 
 
 class TestInputBatch:
-    """Stacking equal-length inputs for one encoder pass."""
+    """Packing inputs of one kind end to end for one encoder pass."""
 
     def test_sentence_rows_keep_their_fields(self, vocab):
         a = build_sentence_input(Instance("a", ("the", "cat", "sat"), 1, 0.0, "NOUN"), vocab)
         b = build_sentence_input(Instance("b", ("the", "dog", "ran"), 2, 1.0, "VERB"), vocab)
         assert len(a.ids) == len(b.ids)
         batch = InputBatch.stack([a, b])
-        assert batch.ids.tolist() == [list(a.ids), list(b.ids)]
-        assert batch.positions.tolist() == [list(a.positions), list(b.positions)]
-        assert batch.segments.tolist() == [list(a.segments), list(b.segments)]
+        assert batch.ids.tolist() == [*a.ids, *b.ids]
+        assert batch.positions.tolist() == [*a.positions, *b.positions]
+        assert batch.segments.tolist() == [*a.segments, *b.segments]
         assert batch.spans.tolist() == [list(a.target_span), list(b.target_span)]
+
+    def test_mixed_lengths_pack_end_to_end(self, vocab):
+        short = build_sentence_input(Instance("a", ("the", "cat", "sat"), 1, 0.0, "NOUN"), vocab)
+        longer = build_sentence_input(Instance("b", ("the", "cat", "sat", "on", "the", "mat"), 1, 0.0, "NOUN"), vocab)
+        assert len(short.ids) != len(longer.ids)
+        batch = InputBatch.stack([longer, short, longer])
+        assert batch.lengths.tolist() == [len(longer.ids), len(short.ids), len(longer.ids)]
+        assert batch.offsets.tolist() == [0, len(longer.ids), len(longer.ids) + len(short.ids)]
+        for inp, off, n in zip([longer, short, longer], batch.offsets, batch.lengths):
+            assert batch.ids[off : off + n].tolist() == list(inp.ids)
+            assert batch.positions[off : off + n].tolist() == list(inp.positions)
+            assert batch.segments[off : off + n].tolist() == list(inp.segments)
+        assert batch.spans.tolist() == [list(longer.target_span), list(short.target_span), list(longer.target_span)]
 
     def test_target_rows_have_no_positions_or_segments(self, vocab):
         batch = InputBatch.stack([build_target_input(Instance("a", ("cat",), 0, 0.0, "NOUN"), vocab)])
         assert batch.positions is None and batch.segments is None
 
-    def test_mixed_lengths_kinds_and_empty_rejected(self, vocab):
+    def test_mixed_kinds_and_empty_rejected(self, vocab):
         inst = Instance("a", ("the", "cat", "sat"), 1, 0.0, "NOUN")
         sent = build_sentence_input(inst, vocab)
-        longer = build_sentence_input(Instance("b", ("the", "cat", "sat", "on", "the", "mat"), 1, 0.0, "NOUN"), vocab)
         same_length_target = TargetInput(ids=sent.ids, target_span=sent.target_span)
-        with pytest.raises(ContractError):
-            InputBatch.stack([sent, longer])
         with pytest.raises(ContractError):
             InputBatch.stack([sent, same_length_target])
         with pytest.raises(ContractError):
