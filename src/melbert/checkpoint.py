@@ -15,11 +15,18 @@ canonical function of the content, making save/load/save bit-exact.
 A save streams the blocks to ``<path>.tmp`` and then renames it onto
 ``path``, so an interrupted or failed save leaves any previous file at
 ``path`` intact.
+
+A load reads the file once, checks its framing (header, JSON metadata,
+one block per name, declared sizes, nothing after the end marker) and
+returns the arrays as read-only views of the bytes read. Building a
+model from them (``training.load_model``) checks every name and shape
+and copies each parameter once; no init is drawn.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 
 import numpy as np
@@ -77,7 +84,7 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
         return line
 
     try:
-        meta = json.loads(read_line().decode("utf-8"))
+        meta = json.loads(read_line().decode("utf-8", "replace"))
     except json.JSONDecodeError as e:
         raise FormatError(f"checkpoint metadata is not valid JSON: {e}") from e
 
@@ -86,18 +93,19 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
         line = read_line()
         if line == END[:-1]:
             break
-        parts = line.decode("utf-8").split(" ")
+        parts = line.decode("utf-8", "replace").split(" ")  # undecodable bytes fail the checks below
         if parts[0] != "param" or len(parts) < 2:
             raise FormatError(f"expected a param block, got {line!r}")
         name = parts[1]
         if name in arrays:
             raise FormatError(f"duplicate block {name!r}")
         try:
-            shape = tuple(int(d) for d in parts[2:])
+            shape = tuple(map(int, parts[2:]))
         except ValueError as e:
             raise FormatError(f"bad dimensions in block {name!r}") from e
-        count = int(np.prod(shape)) if shape else 1
-        nbytes = count * 8
+        if min(shape, default=0) < 0:
+            raise FormatError(f"negative dimension in block {name!r}")
+        nbytes = math.prod(shape) * 8
         if cursor + nbytes > len(blob):
             raise FormatError(f"block {name!r} truncated")
         arrays[name] = np.frombuffer(view[cursor : cursor + nbytes], dtype="<f8").reshape(shape)

@@ -30,6 +30,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, ContractError
 from .inputs import NUM_SEGMENTS, InputBatch
+from .params import Draw, Take
 from .rng import Rng
 
 
@@ -97,18 +98,19 @@ def pool_span(output: EncoderOutput, spans, pooling: str = "mean") -> Tensor:
 class Encoder:
     """Owns the parameter tensors and runs the forward pass."""
 
-    def __init__(self, cfg: EncoderConfig, rng: Rng):
+    def __init__(self, cfg: EncoderConfig, source: Draw | Take):
+        """Declare every parameter; ``source`` draws a new value or takes a saved one."""
         self.cfg = cfg
         self.params: dict[str, Tensor] = {}
 
         def tn(name, shape):
-            self.params[name] = Tensor(rng.truncated_normal(shape, std=cfg.init_std), requires_grad=True)
+            self.params[name] = source.normal(name, shape, cfg.init_std)
 
         def zeros(name, shape):
-            self.params[name] = Tensor(np.zeros(shape), requires_grad=True)
+            self.params[name] = source.fill(name, shape, 0.0)
 
         def ones(name, shape):
-            self.params[name] = Tensor(np.ones(shape), requires_grad=True)
+            self.params[name] = source.fill(name, shape, 1.0)
 
         d, f = cfg.hidden_dim, cfg.ffn_dim
         tn("emb.tok", (cfg.vocab_size, d))

@@ -27,7 +27,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, ContractError, DimensionError
-from .rng import Rng
+from .params import Draw, Take
 
 
 @dataclass
@@ -50,25 +50,29 @@ class HeadParams:
         return out
 
 
-def init_head_params(variant: str, hidden_dim: int, head_dim: int, rng: Rng, init_std: float = 0.02) -> HeadParams:
+def init_head_params(variant: str, hidden_dim: int, head_dim: int, source: Draw | Take,
+                     init_std: float = 0.02) -> HeadParams:
+    """Declare each variant's head parameters; ``source`` draws or takes their values."""
     d, h = hidden_dim, head_dim
 
-    def tn(shape):
-        return Tensor(rng.truncated_normal(shape, std=init_std), requires_grad=True)
+    def tn(slot, shape):
+        return slot, source.normal(slot.replace("_", "."), shape, init_std)
 
-    def zeros(shape):
-        return Tensor(np.zeros(shape), requires_grad=True)
+    def zeros(slot, shape):
+        return slot, source.fill(slot.replace("_", "."), shape, 0.0)
 
     if variant == "melbert":
-        return HeadParams(f_w=tn((2 * d, h)), f_b=zeros((h,)), g_w=tn((2 * d, h)), g_b=zeros((h,)),
-                          w=tn((2 * h,)), b=zeros(()))
-    if variant == "no_spv":
-        return HeadParams(f_w=tn((2 * d, h)), f_b=zeros((h,)), w=tn((h,)), b=zeros(()))
-    if variant == "no_mip":
-        return HeadParams(g_w=tn((2 * d, h)), g_b=zeros((h,)), w=tn((h,)), b=zeros(()))
-    if variant in ("base_all2all", "seq"):
-        return HeadParams(w=tn((d,)), b=zeros(()))
-    raise ConfigError(f"unknown variant {variant!r}")
+        slots = [tn("f_w", (2 * d, h)), zeros("f_b", (h,)), tn("g_w", (2 * d, h)), zeros("g_b", (h,)),
+                 tn("w", (2 * h,)), zeros("b", ())]
+    elif variant == "no_spv":
+        slots = [tn("f_w", (2 * d, h)), zeros("f_b", (h,)), tn("w", (h,)), zeros("b", ())]
+    elif variant == "no_mip":
+        slots = [tn("g_w", (2 * d, h)), zeros("g_b", (h,)), tn("w", (h,)), zeros("b", ())]
+    elif variant in ("base_all2all", "seq"):
+        slots = [tn("w", (d,)), zeros("b", ())]
+    else:
+        raise ConfigError(f"unknown variant {variant!r}")
+    return HeadParams(**dict(slots))
 
 
 def declared_head_param_count(variant: str, hidden_dim: int, head_dim: int) -> int:

@@ -41,6 +41,7 @@ from .inputs import (
     build_sentence_input,
     build_target_input,
 )
+from .params import Draw, Take
 from .rng import Rng
 
 
@@ -121,17 +122,33 @@ class MetaphorModel:
     """Encoder + heads for one variant, with prediction utilities."""
 
     def __init__(self, cfg: ModelConfig, vocab: Vocab, seed: int = 0):
+        """A new model, its parameters drawn from the ``init`` stream of ``seed``."""
+        init_rng = Rng(seed, "init")
+        self._assemble(cfg, vocab, Draw(init_rng.child("encoder")), Draw(init_rng.child("heads")))
+
+    @classmethod
+    def from_arrays(cls, cfg: ModelConfig, vocab: Vocab, arrays: dict[str, np.ndarray]) -> "MetaphorModel":
+        """A model whose parameters are copies of ``arrays``, keyed by their
+        ``parameters()`` names; draws nothing. Every parameter must be present
+        with its declared shape, and every array must name a parameter."""
+        model = cls.__new__(cls)
+        model._assemble(cfg, vocab, Take(arrays, "enc."), Take(arrays, "head."))
+        unknown = sorted(arrays.keys() - model.parameters().keys())
+        if unknown:
+            raise ContractError(f"checkpoint has unknown parameter {unknown[0]!r}")
+        return model
+
+    def _assemble(self, cfg: ModelConfig, vocab: Vocab, encoder_source: Draw | Take, head_source: Draw | Take) -> None:
         if cfg.encoder.vocab_size != len(vocab):
             raise ContractError(
                 f"encoder vocab_size {cfg.encoder.vocab_size} != vocabulary size {len(vocab)}"
             )
         self.cfg = cfg
         self.vocab = vocab
-        init_rng = Rng(seed, "init")
-        self.encoder = Encoder(cfg.encoder, init_rng.child("encoder"))
+        self.encoder = Encoder(cfg.encoder, encoder_source)
         self.heads = init_head_params(
             cfg.variant.value, cfg.encoder.hidden_dim, cfg.resolved_head_dim,
-            init_rng.child("heads"), init_std=cfg.encoder.init_std,
+            head_source, init_std=cfg.encoder.init_std,
         )
         self.counters = PassCounters()
         self._target_cache: dict[tuple[int, ...], np.ndarray] = {}
@@ -156,17 +173,6 @@ class MetaphorModel:
     def mark_updated(self) -> None:
         """Must be called after any parameter mutation; drops the cache."""
         self._target_cache.clear()
-
-    def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        for name, tensor in self.parameters().items():
-            if name not in arrays:
-                raise ContractError(f"checkpoint is missing parameter {name!r}")
-            if arrays[name].shape != tensor.data.shape:
-                raise ContractError(
-                    f"parameter {name!r} shape {arrays[name].shape} != expected {tensor.data.shape}"
-                )
-            tensor.data = np.array(arrays[name], dtype=np.float64)
-        self.mark_updated()
 
     def export_arrays(self) -> dict[str, np.ndarray]:
         return {name: t.data.copy() for name, t in self.parameters().items()}

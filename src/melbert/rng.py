@@ -64,13 +64,20 @@ class Rng:
         return self._gen.standard_normal(size=shape) * std
 
     def truncated_normal(self, shape, std: float, bound_sigmas: float = 2.0) -> np.ndarray:
-        """Normal draws redrawn until all fall within bound_sigmas std devs."""
+        """Normal draws redrawn until all fall within bound_sigmas std devs.
+
+        Each round redraws the out-of-bounds positions in ascending flat
+        order (at most 100 rounds); only the fresh values are tested again.
+        """
         out = self._gen.standard_normal(size=shape)
+        flat = out.reshape(-1)  # a view: writes land in ``out``
+        bad = np.flatnonzero(np.abs(flat) > bound_sigmas)
         for _ in range(100):
-            bad = np.abs(out) > bound_sigmas
-            if not bad.any():
+            if not bad.size:
                 break
-            out[bad] = self._gen.standard_normal(size=int(bad.sum()))
+            fresh = self._gen.standard_normal(size=bad.size)
+            flat[bad] = fresh
+            bad = bad[np.abs(fresh) > bound_sigmas]
         return out * std
 
     def integers(self, low: int, high: int, shape=None):

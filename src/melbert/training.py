@@ -154,6 +154,11 @@ def _train_labels(dataset, cfg: TrainConfig) -> np.ndarray:
     return np.array([i.label for i in dataset])
 
 
+def _live_arrays(model: MetaphorModel) -> dict[str, np.ndarray]:
+    """The parameters' own arrays, uncopied: a save only reads them."""
+    return {name: t.data for name, t in model.parameters().items()}
+
+
 def save_train_checkpoint(path, model, train_cfg, adam, train_rng, seed, epoch, global_step, loss_curve):
     meta = {
         "kind": "train",
@@ -166,7 +171,7 @@ def save_train_checkpoint(path, model, train_cfg, adam, train_rng, seed, epoch, 
         "rng_state": train_rng.state(),
         "loss_curve": list(loss_curve),
     }
-    arrays = model.export_arrays()
+    arrays = _live_arrays(model)
     for k, a in adam.m.items():
         arrays[f"adam.m.{k}"] = a
     for k, a in adam.v.items():
@@ -175,17 +180,54 @@ def save_train_checkpoint(path, model, train_cfg, adam, train_rng, seed, epoch, 
 
 
 def save_model_checkpoint(path, model: MetaphorModel) -> None:
-    save_checkpoint(path, {"kind": "model", "model": model.cfg.to_dict()}, model.export_arrays())
+    save_checkpoint(path, {"kind": "model", "model": model.cfg.to_dict()}, _live_arrays(model))
+
+
+def _restore(meta: dict, arrays: dict[str, np.ndarray], vocab: Vocab) -> tuple[MetaphorModel, Optional[AdamState]]:
+    """The parameter loader: the model a checkpoint holds and, for a
+    training checkpoint, its Adam moments (``None`` for a model checkpoint).
+
+    Parameters are copied straight from the arrays; nothing is drawn. Each
+    parameter needs an ``adam.m.`` and an ``adam.v.`` block of its own
+    shape in a training checkpoint and none in a model checkpoint; any
+    other block is an error.
+    """
+    params = {k: v for k, v in arrays.items() if not k.startswith("adam.")}
+    model = MetaphorModel.from_arrays(ModelConfig.from_dict(meta["model"]), vocab, params)
+    moments = {k: v for k, v in arrays.items() if k.startswith("adam.")}
+    if meta["kind"] == "model":
+        if moments:
+            raise ContractError(f"model checkpoint has optimizer block {min(moments)!r}")
+        return model, None
+    m: dict[str, np.ndarray] = {}
+    v: dict[str, np.ndarray] = {}
+    for name, tensor in model.parameters().items():
+        for key, into in (("m", m), ("v", v)):
+            block = f"adam.{key}.{name}"
+            if block not in moments:
+                raise ContractError(f"training checkpoint is missing optimizer block {block!r}")
+            arr = moments.pop(block)
+            if arr.shape != tensor.shape:
+                raise ContractError(f"optimizer block {block!r} shape {arr.shape} != parameter shape {tensor.shape}")
+            into[name] = arr
+    if moments:
+        raise ContractError(f"training checkpoint has unknown optimizer block {min(moments)!r}")
+    return model, AdamState(m, v, t=meta["adam_t"])
 
 
 def load_model(path, vocab: Vocab) -> MetaphorModel:
+    """The model saved at ``path``, from a model or a training checkpoint.
+
+    The file is read once and every block is checked: each parameter must
+    be present with its declared shape, a training checkpoint must hold
+    both Adam moments of each parameter, and any other block is a
+    ``ContractError``. Each parameter is copied once from the file; no
+    init is drawn.
+    """
     meta, arrays = load_checkpoint(path)
     if meta.get("kind") not in ("model", "train"):
         raise ContractError(f"checkpoint kind {meta.get('kind')!r} is not loadable as a model")
-    cfg = ModelConfig.from_dict(meta["model"])
-    model = MetaphorModel(cfg, vocab, seed=0)
-    model.load_arrays({k: v for k, v in arrays.items() if not k.startswith("adam.")})
-    return model
+    return _restore(meta, arrays, vocab)[0]
 
 
 def train_single(
@@ -213,14 +255,14 @@ def train_single(
     """
     if not dataset:
         raise ContractError("cannot train on an empty dataset")
-    model = MetaphorModel(model_cfg, vocab, seed)
-    adam = AdamState.init_like(model.parameters())
     train_rng = Rng(seed, "train")
-    start_epoch = 0
-    global_step = 0
-    loss_curve: list[float] = []
-
-    if resume_from is not None:
+    if resume_from is None:
+        model = MetaphorModel(model_cfg, vocab, seed)
+        adam = AdamState.init_like(model.parameters())
+        start_epoch = 0
+        global_step = 0
+        loss_curve: list[float] = []
+    else:
         meta, arrays = load_checkpoint(resume_from)
         if meta.get("kind") != "train":
             raise ContractError("resume checkpoint must be a training checkpoint")
@@ -228,12 +270,7 @@ def train_single(
             raise ContractError("resume checkpoint was written under a different configuration")
         if meta["seed"] != seed:
             raise ContractError(f"resume checkpoint is for seed {meta['seed']}, not {seed}")
-        model.load_arrays({k: v for k, v in arrays.items() if not k.startswith("adam.")})
-        adam = AdamState(
-            m={k[len("adam.m."):]: v for k, v in arrays.items() if k.startswith("adam.m.")},
-            v={k[len("adam.v."):]: v for k, v in arrays.items() if k.startswith("adam.v.")},
-            t=meta["adam_t"],
-        )
+        model, adam = _restore(meta, arrays, vocab)
         train_rng.set_state(meta["rng_state"])
         start_epoch = meta["epoch"]
         global_step = meta["global_step"]

@@ -31,6 +31,7 @@ from melbert.heads import (
     interaction_head,
 )
 from melbert.model import MetaphorModel, ModelConfig, Variant
+from melbert.params import Draw
 from melbert.rng import Rng
 from melbert.training import TrainConfig, lr_at, train_single
 
@@ -104,7 +105,7 @@ def test_criterion_02_head_formula_oracles():
         def np_sigmoid(x):
             return 1.0 / (1.0 + np.exp(-x))
 
-        hp = init_head_params("melbert", d, h, Rng(5, "acceptance-heads"))
+        hp = init_head_params("melbert", d, h, Draw(Rng(5, "acceptance-heads")))
         rng = np.random.default_rng(55)
         for _ in range(1000):
             v_s = rng.standard_normal(d)
@@ -121,7 +122,7 @@ def test_criterion_02_head_formula_oracles():
             np.testing.assert_allclose(h_g.data[0], want_g, atol=1e-12, rtol=0)
             np.testing.assert_allclose(y.data[0], want_y, atol=1e-12, rtol=0)
 
-        hp1 = init_head_params("seq", d, h, Rng(6, "acceptance-heads"))
+        hp1 = init_head_params("seq", d, h, Draw(Rng(6, "acceptance-heads")))
         for _ in range(1000):
             v = rng.standard_normal(d)
             got = combine_single(Tensor(v[None]), hp1).data[0]

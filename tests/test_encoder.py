@@ -14,7 +14,9 @@ from melbert.encoder import Encoder, EncoderConfig, pool_span
 from melbert.errors import ConfigError, ContractError, FormatError, VocabError
 from melbert.inputs import InputBatch, TargetInput, build_sentence_input, build_target_input
 from melbert.model import MetaphorModel, ModelConfig
+from melbert.params import Draw
 from melbert.rng import Rng
+from melbert.training import load_model
 
 
 @pytest.fixture(scope="module")
@@ -59,23 +61,46 @@ class TestInit:
 
     def test_truncated_normal_bounds(self, vocab):
         cfg = small_cfg(vocab, init_std=0.02)
-        enc = Encoder(cfg, Rng(0, "init"))
+        enc = Encoder(cfg, Draw(Rng(0, "init")))
         w = enc.params["layer0.attn.q.w"].data
         assert np.abs(w).max() <= 2 * 0.02 + 1e-12
         assert w.std() > 0.005  # actually random, not degenerate
 
+    @pytest.mark.parametrize("seed", [0, 1, 7, 123])
+    def test_truncated_normal_matches_full_rescan(self, vocab, seed):
+        def rescan(rng, shape, std, bound_sigmas):
+            # the original loop: every round tests the whole array again
+            out = rng._gen.standard_normal(size=shape)
+            for _ in range(100):
+                bad = np.abs(out) > bound_sigmas
+                if not bad.any():
+                    break
+                out[bad] = rng._gen.standard_normal(size=int(bad.sum()))
+            return out * std
+
+        model_shapes = {t.shape for t in MetaphorModel(ModelConfig(encoder=small_cfg(vocab)), vocab).parameters().values()}
+        # a 0.01-sigma bound leaves positions out of bounds after all 100 rounds
+        for shape in sorted(model_shapes | {(), (0,), (1,), (400, 64), (2, 3, 4)}):
+            for bound in (2.0, 0.5, 0.01):
+                a, b = Rng(seed, "tn"), Rng(seed, "tn")
+                want = rescan(a, shape, 0.02, bound)
+                got = b.truncated_normal(shape, std=0.02, bound_sigmas=bound)
+                assert np.shape(got) == np.shape(want)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (shape, bound)
+                assert a.state() == b.state()  # same number of draws
+
     def test_layer_norm_identity_init(self, vocab):
-        enc = Encoder(small_cfg(vocab), Rng(0, "init"))
+        enc = Encoder(small_cfg(vocab), Draw(Rng(0, "init")))
         np.testing.assert_array_equal(enc.params["layer0.ln1.g"].data, np.ones(16))
         np.testing.assert_array_equal(enc.params["layer0.ln1.b"].data, np.zeros(16))
 
     def test_biases_zero(self, vocab):
-        enc = Encoder(small_cfg(vocab), Rng(0, "init"))
+        enc = Encoder(small_cfg(vocab), Draw(Rng(0, "init")))
         np.testing.assert_array_equal(enc.params["layer0.attn.q.b"].data, np.zeros(16))
 
     def test_same_seed_same_params(self, vocab):
-        a = Encoder(small_cfg(vocab), Rng(5, "init"))
-        b = Encoder(small_cfg(vocab), Rng(5, "init"))
+        a = Encoder(small_cfg(vocab), Draw(Rng(5, "init")))
+        b = Encoder(small_cfg(vocab), Draw(Rng(5, "init")))
         for k in a.params:
             assert a.params[k].data.tobytes() == b.params[k].data.tobytes()
 
@@ -84,7 +109,7 @@ class TestForward:
     """Output shapes, determinism, attention rows, input kinds."""
 
     def test_output_shapes(self, vocab):
-        enc = Encoder(small_cfg(vocab), Rng(0, "init"))
+        enc = Encoder(small_cfg(vocab), Draw(Rng(0, "init")))
         inp = sentence_input(vocab)
         out = enc.encode(one(inp))
         L = len(inp.ids)
@@ -93,14 +118,14 @@ class TestForward:
         np.testing.assert_array_equal(out.cls.data, out.positions.data[:1])
 
     def test_eval_deterministic_bitwise(self, vocab):
-        enc = Encoder(small_cfg(vocab), Rng(1, "init"))
+        enc = Encoder(small_cfg(vocab), Draw(Rng(1, "init")))
         inp = sentence_input(vocab)
         a = enc.encode(one(inp)).positions.data
         b = enc.encode(one(inp)).positions.data
         assert a.tobytes() == b.tobytes()
 
     def test_train_mode_dropout_differs(self, vocab):
-        enc = Encoder(small_cfg(vocab), Rng(1, "init"))
+        enc = Encoder(small_cfg(vocab), Draw(Rng(1, "init")))
         inp = sentence_input(vocab)
         rng = Rng(3, "drop")
         a = enc.encode(one(inp), mode="train", rng=rng).positions.data
@@ -108,14 +133,14 @@ class TestForward:
         assert a.tobytes() != b.tobytes()
 
     def test_zero_dropout_train_equals_eval(self, vocab):
-        enc = Encoder(small_cfg(vocab, dropout=0.0), Rng(1, "init"))
+        enc = Encoder(small_cfg(vocab, dropout=0.0), Draw(Rng(1, "init")))
         inp = sentence_input(vocab)
         a = enc.encode(one(inp), mode="train", rng=Rng(0)).positions.data
         b = enc.encode(one(inp), mode="eval").positions.data
         assert a.tobytes() == b.tobytes()
 
     def test_attention_rows_are_distributions(self, vocab):
-        enc = Encoder(small_cfg(vocab), Rng(2, "init"))
+        enc = Encoder(small_cfg(vocab), Draw(Rng(2, "init")))
         inputs = [sentence_input(vocab), sentence_input(vocab, tokens=("the", "big", "cat", "sat"), target=2)]
         out = enc.encode(InputBatch.stack(inputs), keep_attention=True)
         assert len(out.attentions) == 2  # one per layer
@@ -128,7 +153,7 @@ class TestForward:
                 np.testing.assert_allclose(a.sum(axis=-1), np.ones(a.shape[:2]), atol=1e-6)
 
     def test_target_input_ignores_position_and_segment_tables(self, vocab):
-        enc = Encoder(small_cfg(vocab), Rng(4, "init"))
+        enc = Encoder(small_cfg(vocab), Draw(Rng(4, "init")))
         inst = Instance("s", ("the", "cat"), 1, 0.0, "NOUN")
         tgt = build_target_input(inst, vocab)
         sent = build_sentence_input(inst, vocab)
@@ -140,23 +165,23 @@ class TestForward:
         assert enc.encode(one(sent)).positions.data.tobytes() != s_before.tobytes()
 
     def test_length_overflow(self, vocab):
-        enc = Encoder(small_cfg(vocab, max_positions=4), Rng(0, "init"))
+        enc = Encoder(small_cfg(vocab, max_positions=4), Draw(Rng(0, "init")))
         with pytest.raises(ContractError):
             enc.encode(one(sentence_input(vocab, tokens=("the", "cat", "sat", "on", "mat"), target=1)))
 
     def test_id_out_of_range(self, vocab):
-        enc = Encoder(small_cfg(vocab), Rng(0, "init"))
+        enc = Encoder(small_cfg(vocab), Draw(Rng(0, "init")))
         bad = TargetInput(ids=(2, len(vocab) + 10, 3), target_span=(1, 2))
         with pytest.raises(VocabError):
             enc.encode(one(bad))
 
     def test_bad_mode(self, vocab):
-        enc = Encoder(small_cfg(vocab), Rng(0, "init"))
+        enc = Encoder(small_cfg(vocab), Draw(Rng(0, "init")))
         with pytest.raises(ContractError):
             enc.encode(one(sentence_input(vocab)), mode="test")
 
     def test_train_without_rng(self, vocab):
-        enc = Encoder(small_cfg(vocab), Rng(0, "init"))
+        enc = Encoder(small_cfg(vocab), Draw(Rng(0, "init")))
         with pytest.raises(ContractError):
             enc.encode(one(sentence_input(vocab)), mode="train")
 
@@ -165,7 +190,7 @@ class TestPooling:
     """Span mean pooling and the cls alternative."""
 
     def test_mean_matches_hand_average(self, vocab):
-        enc = Encoder(small_cfg(vocab), Rng(6, "init"))
+        enc = Encoder(small_cfg(vocab), Draw(Rng(6, "init")))
         first = sentence_input(vocab)
         inp = sentence_input(vocab, tokens=("the", "big", "cat", "sat"), target=2)
         out = enc.encode(InputBatch.stack([first, inp]))  # inp's rows start after first's
@@ -175,12 +200,12 @@ class TestPooling:
         np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_cls_pooling_returns_cls(self, vocab):
-        enc = Encoder(small_cfg(vocab), Rng(6, "init"))
+        enc = Encoder(small_cfg(vocab), Draw(Rng(6, "init")))
         out = enc.encode(one(sentence_input(vocab)))
         np.testing.assert_array_equal(pool_span(out, [(1, 2)], pooling="cls").data, out.cls.data)
 
     def test_empty_span_rejected(self, vocab):
-        enc = Encoder(small_cfg(vocab), Rng(6, "init"))
+        enc = Encoder(small_cfg(vocab), Draw(Rng(6, "init")))
         out = enc.encode(one(sentence_input(vocab)))
         with pytest.raises(ContractError):
             pool_span(out, [(2, 2)])
@@ -193,7 +218,7 @@ class TestEncoderGradients:
 
     def test_gradients_match_central_differences(self, vocab):
         cfg = small_cfg(vocab, num_layers=1, hidden_dim=8, ffn_dim=16, dropout=0.0)
-        enc = Encoder(cfg, Rng(8, "init"))
+        enc = Encoder(cfg, Draw(Rng(8, "init")))
         inp = sentence_input(vocab)
         names = sorted(enc.params)
         arrays = [enc.params[n].data.copy() for n in names]
@@ -267,6 +292,18 @@ class TestCheckpointFile:
         with pytest.raises(FormatError, match="'w'"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("header, message", [
+        (b"param b -1", "negative dimension in block 'b'"),
+        (b"param b -1 -1", "negative dimension in block 'b'"),
+        (b"\xffaram b 2", "expected a param block"),
+    ])
+    def test_bad_block_header_rejected(self, tmp_path, header, message):
+        path = tmp_path / "ck.bin"
+        save_checkpoint(path, {}, {"a": np.zeros(3), "b": np.ones(2)})
+        path.write_bytes(path.read_bytes().replace(b"param b 2", header))
+        with pytest.raises(FormatError, match=message):
+            load_checkpoint(path)
+
     def test_bytes_after_end_rejected(self, tmp_path):
         path = tmp_path / "ck.bin"
         save_checkpoint(path, {}, {"w": np.arange(2.0)})
@@ -281,8 +318,6 @@ class TestCheckpointFile:
         want = model.encoder.encode(inp).positions.data.copy()
         path = tmp_path / "model.bin"
         save_checkpoint(path, {"kind": "model", "model": cfg.to_dict()}, model.export_arrays())
-        meta, arrays = load_checkpoint(path)
-        model2 = MetaphorModel(ModelConfig.from_dict(meta["model"]), vocab, seed=99)
-        model2.load_arrays(arrays)
+        model2 = load_model(path, vocab)
         got = model2.encoder.encode(inp).positions.data
         assert got.tobytes() == want.tobytes()

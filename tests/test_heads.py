@@ -19,6 +19,7 @@ from melbert.heads import (
     interaction_head,
     mse_loss,
 )
+from melbert.params import Draw
 from melbert.rng import Rng
 
 
@@ -41,7 +42,7 @@ class TestHeadForward:
 
     def test_interaction_head_formula(self):
         rng = np.random.default_rng(42)
-        hp = init_head_params("melbert", hidden_dim=8, head_dim=6, rng=Rng(0, "h"))
+        hp = init_head_params("melbert", hidden_dim=8, head_dim=6, source=Draw(Rng(0, "h")))
         for _ in range(50):
             a = rng.standard_normal(8)
             b = rng.standard_normal(8)
@@ -51,7 +52,7 @@ class TestHeadForward:
 
     def test_contrast_head_formula(self):
         rng = np.random.default_rng(43)
-        hp = init_head_params("melbert", hidden_dim=8, head_dim=6, rng=Rng(1, "h"))
+        hp = init_head_params("melbert", hidden_dim=8, head_dim=6, source=Draw(Rng(1, "h")))
         for _ in range(50):
             a = rng.standard_normal(8)
             b = rng.standard_normal(8)
@@ -61,7 +62,7 @@ class TestHeadForward:
 
     def test_combiner_formula(self):
         rng = np.random.default_rng(44)
-        hp = init_head_params("melbert", hidden_dim=8, head_dim=6, rng=Rng(2, "h"))
+        hp = init_head_params("melbert", hidden_dim=8, head_dim=6, source=Draw(Rng(2, "h")))
         for _ in range(50):
             hf = rng.standard_normal(6)
             hg = rng.standard_normal(6)
@@ -71,7 +72,7 @@ class TestHeadForward:
 
     def test_single_combiner_formula(self):
         rng = np.random.default_rng(45)
-        hp = init_head_params("no_spv", hidden_dim=8, head_dim=6, rng=Rng(3, "h"))
+        hp = init_head_params("no_spv", hidden_dim=8, head_dim=6, source=Draw(Rng(3, "h")))
         for _ in range(50):
             h = rng.standard_normal(6)
             got = combine_single(Tensor(h[None]), hp).item()
@@ -85,7 +86,7 @@ class TestHeadForward:
         assert 0.0 < lo < hi < 1.0
 
     def test_dimension_mismatch(self):
-        hp = init_head_params("melbert", hidden_dim=8, head_dim=6, rng=Rng(4, "h"))
+        hp = init_head_params("melbert", hidden_dim=8, head_dim=6, source=Draw(Rng(4, "h")))
         with pytest.raises(DimensionError):
             interaction_head(Tensor(np.ones((1, 8))), Tensor(np.ones((1, 5))), hp)
         with pytest.raises(DimensionError):
@@ -108,13 +109,13 @@ class TestParamAccounting:
     def test_declared_counts(self, variant, expect):
         d, h = 16, 12
         assert declared_head_param_count(variant, d, h) == expect(d, h)
-        hp = init_head_params(variant, d, h, Rng(0, "h"))
+        hp = init_head_params(variant, d, h, Draw(Rng(0, "h")))
         actual = sum(t.data.size for t in hp.named().values())
         assert actual == declared_head_param_count(variant, d, h)
 
     def test_ablation_combiner_shrinks(self):
-        full = init_head_params("melbert", 16, 12, Rng(0, "h"))
-        ablated = init_head_params("no_mip", 16, 12, Rng(0, "h"))
+        full = init_head_params("melbert", 16, 12, Draw(Rng(0, "h")))
+        ablated = init_head_params("no_mip", 16, 12, Draw(Rng(0, "h")))
         assert full.w.shape == (24,)
         assert ablated.w.shape == (12,)
 
@@ -127,7 +128,7 @@ class TestParamAccounting:
 
     def test_unknown_variant(self):
         with pytest.raises(ConfigError):
-            init_head_params("bogus", 8, 8, Rng(0, "h"))
+            init_head_params("bogus", 8, 8, Draw(Rng(0, "h")))
 
 
 class TestBceLoss:

@@ -1,5 +1,6 @@
 """Optimizer, schedule, and training-loop tests, including bit-exact resume."""
 
+import hashlib
 import io
 import json
 
@@ -9,9 +10,11 @@ import pytest
 from melbert.autodiff import Tensor
 from melbert.data import make_synthetic_corpus
 from melbert.bpe import train_bpe
+from melbert.checkpoint import load_checkpoint, save_checkpoint
 from melbert.encoder import EncoderConfig
 from melbert.errors import ConfigError, ContractError, TrainingDivergedError
 from melbert.model import MetaphorModel, ModelConfig, Variant
+from melbert.rng import Rng
 from melbert.training import (
     AdamState,
     CvEnsemble,
@@ -23,6 +26,7 @@ from melbert.training import (
     load_model,
     lr_at,
     save_model_checkpoint,
+    save_train_checkpoint,
     train,
     train_single,
 )
@@ -288,6 +292,115 @@ class TestModelCheckpoint:
         loaded = load_model(ckpt, VOCAB)
         inst = CORPUS[0]
         assert loaded.score_instance(inst).item() == res.model.score_instance(inst).item()
+
+
+def params_sha256(model) -> str:
+    h = hashlib.sha256()
+    for name, arr in sorted(model.export_arrays().items()):
+        h.update(name.encode())
+        h.update(arr.tobytes())
+    return h.hexdigest()
+
+
+def rewrite(src, dst, edit):
+    """Copy checkpoint ``src`` to ``dst`` with ``edit`` applied to its arrays."""
+    meta, arrays = load_checkpoint(src)
+    arrays = dict(arrays)
+    edit(arrays)
+    save_checkpoint(dst, meta, arrays)
+    return dst
+
+
+class TestLoader:
+    """Loading builds the model from the checkpoint alone and checks every block."""
+
+    CFG = TrainConfig(epochs=2, batch_size=8, seeds=(0,))
+
+    # SHA-256 over sorted (name, bytes) of a seed-0 tiny model; pins the init draw order
+    INIT_SHA256 = {
+        Variant.MELBERT: "03309bdda560f75c667a2f3f7e7dd703c1eafa96c29d8b72010d6c110ca2d92a",
+        Variant.NO_MIP: "833d3505030be598cfbf74d068d99d41b97edd58981e952e5dfb560dc11fad47",
+        Variant.NO_SPV: "9ab11bd43aeea5f21c075383b99bf56e8aa9a76afdf01b3837d7527e66b01dc5",
+        Variant.BASE_ALL2ALL: "86f7c4ec4b0aebf2689a4583709fdba1e51002547cf374d455edddc2db1d0c82",
+        Variant.SEQ: "86f7c4ec4b0aebf2689a4583709fdba1e51002547cf374d455edddc2db1d0c82",
+    }
+
+    @pytest.fixture(scope="class")
+    def train_ckpt(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("loader") / "half.ckpt"
+        train_single(tiny_cfg(), VOCAB, CORPUS, self.CFG, seed=0,
+                     checkpoint_path=path, checkpoint_every_epoch=True, stop_after_epoch=1)
+        return path
+
+    def resume(self, path):
+        return train_single(tiny_cfg(), VOCAB, CORPUS, self.CFG, seed=0, resume_from=path)
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_init_digest_pinned(self, variant):
+        assert params_sha256(MetaphorModel(tiny_cfg(variant), VOCAB, seed=0)) == self.INIT_SHA256[variant]
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_loaded_parameters_equal_saved(self, variant, tmp_path):
+        model = MetaphorModel(tiny_cfg(variant), VOCAB, seed=4)
+        saved = model.export_arrays()
+        save_model_checkpoint(tmp_path / "m.ckpt", model)
+        save_train_checkpoint(tmp_path / "t.ckpt", model, self.CFG, AdamState.init_like(model.parameters()),
+                              Rng(4, "train"), 4, 1, 3, [0.5])
+        for path in (tmp_path / "m.ckpt", tmp_path / "t.ckpt"):
+            loaded = load_model(path, VOCAB).export_arrays()
+            assert loaded.keys() == saved.keys()
+            for name, arr in saved.items():
+                assert loaded[name].shape == arr.shape and loaded[name].tobytes() == arr.tobytes(), name
+
+    def test_load_and_resume_draw_nothing(self, train_ckpt, tmp_path, monkeypatch):
+        model_ckpt = tmp_path / "m.ckpt"
+        save_model_checkpoint(model_ckpt, MetaphorModel(tiny_cfg(), VOCAB, seed=0))
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a load drew an init")
+
+        monkeypatch.setattr(Rng, "truncated_normal", no_draw)
+        load_model(model_ckpt, VOCAB)
+        load_model(train_ckpt, VOCAB)
+        assert self.resume(train_ckpt).global_step == 2 * 3
+
+    def test_unknown_parameter_rejected(self, train_ckpt, tmp_path):
+        def add_bogus(arrays):
+            arrays["enc.bogus"] = np.zeros(3)
+
+        model_ckpt = tmp_path / "m.ckpt"
+        save_model_checkpoint(model_ckpt, MetaphorModel(tiny_cfg(), VOCAB, seed=0))
+        for path in (rewrite(model_ckpt, tmp_path / "m2.ckpt", add_bogus),
+                     rewrite(train_ckpt, tmp_path / "t2.ckpt", add_bogus)):
+            with pytest.raises(ContractError, match="unknown parameter 'enc.bogus'"):
+                load_model(path, VOCAB)
+        with pytest.raises(ContractError, match="unknown parameter 'enc.bogus'"):
+            self.resume(tmp_path / "t2.ckpt")
+
+    def test_missing_moment_rejected(self, train_ckpt, tmp_path):
+        path = rewrite(train_ckpt, tmp_path / "t.ckpt", lambda a: a.pop("adam.m.head.w"))
+        with pytest.raises(ContractError, match="missing optimizer block 'adam.m.head.w'"):
+            self.resume(path)
+
+    def test_unknown_moment_rejected(self, train_ckpt, tmp_path):
+        def add_moment(arrays):
+            arrays["adam.v.enc.bogus"] = np.zeros(3)
+
+        path = rewrite(train_ckpt, tmp_path / "t.ckpt", add_moment)
+        with pytest.raises(ContractError, match="unknown optimizer block 'adam.v.enc.bogus'"):
+            self.resume(path)
+        model_ckpt = tmp_path / "m.ckpt"
+        save_model_checkpoint(model_ckpt, MetaphorModel(tiny_cfg(), VOCAB, seed=0))
+        with pytest.raises(ContractError, match="model checkpoint has optimizer block 'adam.v.enc.bogus'"):
+            load_model(rewrite(model_ckpt, tmp_path / "m2.ckpt", add_moment), VOCAB)
+
+    def test_moment_shape_mismatch_rejected(self, train_ckpt, tmp_path):
+        def reshape(arrays):
+            arrays["adam.v.head.b"] = np.zeros(2)
+
+        path = rewrite(train_ckpt, tmp_path / "t.ckpt", reshape)
+        with pytest.raises(ContractError, match=r"optimizer block 'adam.v.head.b' shape \(2,\)"):
+            self.resume(path)
 
 
 class TestBagging:
