@@ -9,12 +9,19 @@ sentinel but never jump across words. Encoding replays the learned merge
 list in order (greedy, left to right inside each word), which makes
 encoding a pure function of the saved vocabulary file.
 
+As in the reference learner of Sennrich, Haddow and Birch (2016), pair
+counts are kept across merges together with an index from each pair to
+the distinct words holding it, so a merge costs work in proportion to
+the words that hold its pair rather than to the corpus. The merges are
+exactly those a full recount before every merge would choose.
+
 Ties between equally frequent pairs break lexicographically on the
 (left, right) strings so training is deterministic.
 """
 
 from __future__ import annotations
 
+import heapq
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -135,29 +142,52 @@ class Vocab:
 
     @classmethod
     def load(cls, path) -> "Vocab":
+        """Read a vocab file, rejecting any that ``train_bpe`` could not
+        have written: each token listed once, ids exactly 0..n-1, the
+        reserved tokens at ids 0-3, and each merge's left part, right part
+        and joined string all tokens. Errors name the offending line."""
         with open(path, encoding="utf-8", newline="\n") as fh:
             lines = fh.read().split("\n")
         if not lines or lines[0] != _FILE_HEADER:
             raise FormatError(f"line 1: expected header {_FILE_HEADER!r}")
         token_to_id: dict[str, int] = {}
+        id_line: dict[int, int] = {}
         merges: list[tuple[str, str]] = []
-        in_merges = False
+        table_end = len(lines)  # the line after the last token
         for lineno, line in enumerate(lines[1:], start=2):
             if line == "":
                 continue
             if line == "#merges":
-                in_merges = True
+                table_end = lineno
                 continue
             parts = line.split("\t")
             if len(parts) != 2:
                 raise FormatError(f"line {lineno}: expected two tab-separated fields")
-            if in_merges:
+            if table_end < lineno:
+                for sym in (parts[0], parts[1], parts[0] + parts[1]):
+                    if sym not in token_to_id:
+                        raise FormatError(f"line {lineno}: merge {parts[0]!r} + {parts[1]!r} uses {sym!r}, not a token")
                 merges.append((parts[0], parts[1]))
-            else:
-                try:
-                    token_to_id[parts[0]] = int(parts[1])
-                except ValueError as e:
-                    raise FormatError(f"line {lineno}: id {parts[1]!r} is not an integer") from e
+                continue
+            token = parts[0]
+            try:
+                i = int(parts[1])
+            except ValueError as e:
+                raise FormatError(f"line {lineno}: id {parts[1]!r} is not an integer") from e
+            if token in token_to_id:
+                raise FormatError(f"line {lineno}: token {token!r} is listed twice")
+            if i < 0:
+                raise FormatError(f"line {lineno}: id {i} is negative")
+            if i in id_line:
+                raise FormatError(f"line {lineno}: id {i} is already taken on line {id_line[i]}")
+            token_to_id[token] = i
+            id_line[i] = lineno
+        for i, lineno in id_line.items():
+            if i >= len(token_to_id):
+                raise FormatError(f"line {lineno}: id {i} is out of range for {len(token_to_id)} tokens")
+        for i, token in enumerate(RESERVED):
+            if token_to_id.get(token) != i:
+                raise FormatError(f"line {id_line.get(i, table_end)}: id {i} must be the reserved token {token!r}")
         pos_tags = tuple(
             t[len("[POS:"):-1]
             for t, _ in sorted(token_to_id.items(), key=lambda kv: kv[1])
@@ -173,11 +203,28 @@ def train_bpe(corpus, vocab_size: int, pos_tags=DEFAULT_POS_TAGS) -> Vocab:
     tag, the full character alphabet of the corpus, and then as many
     merged tokens as fit. Merging stops early once no adjacent pair
     occurs at least twice.
+
+    Pair counts are built once, with an index from each pair to the
+    distinct words that hold it, and kept current across merges: a merge
+    rewrites only the words in its pair's index, taking back their old
+    pairs and adding their new ones. A merge therefore costs work in
+    proportion to the words that hold the pair, not to the corpus, and
+    the result is the one a full recount before every merge would give.
+    ``corpus`` is read once, so it may be a generator.
     """
-    word_freq: Counter[tuple[str, ...]] = Counter()
+    first: Counter[str] = Counter()
+    later: Counter[str] = Counter()
     for sentence in corpus:
-        for i, word in enumerate(sentence.split()):
-            word_freq[_word_symbols(word, initial=i == 0)] += 1
+        words = sentence.split()
+        if words:
+            first[words[0]] += 1
+            later.update(words[1:])
+    # a first word that starts with the marker spells the marked form of a
+    # later word, so both share one entry and their counts add up
+    word_freq: Counter[tuple[str, ...]] = Counter()
+    for words, initial in ((first, True), (later, False)):
+        for word, freq in words.items():
+            word_freq[_word_symbols(word, initial)] += freq
     if not word_freq:
         raise ContractError("cannot train a tokenizer on an empty corpus")
 
@@ -189,28 +236,48 @@ def train_bpe(corpus, vocab_size: int, pos_tags=DEFAULT_POS_TAGS) -> Vocab:
             f"(reserved + POS tags + alphabet of {len(alphabet)})"
         )
 
+    seqs = list(word_freq)
+    freqs = list(word_freq.values())
+    counts: Counter[tuple[str, str]] = Counter()
+    holders: dict[tuple[str, str], set[int]] = {}
+    for w, seq in enumerate(seqs):
+        for pair in zip(seq, seq[1:]):
+            counts[pair] += freqs[w]
+            holders.setdefault(pair, set()).add(w)
+    # the best pair is the least (-count, left, right); an entry whose count
+    # is no longer the pair's own is stale and skipped when it surfaces
+    heap = [(-c, left, right) for (left, right), c in counts.items()]
+    heapq.heapify(heap)
+
     tokens = list(base_tokens)
     known = set(tokens)
     merges: list[tuple[str, str]] = []
-    seqs = dict(word_freq)
     while len(tokens) < vocab_size:
-        pair_counts: Counter[tuple[str, str]] = Counter()
-        for seq, freq in seqs.items():
-            for pair in zip(seq, seq[1:]):
-                pair_counts[pair] += freq
-        if not pair_counts:
+        while heap and counts.get(heap[0][1:]) != -heap[0][0]:
+            heapq.heappop(heap)
+        if not heap or -heap[0][0] < 2:
             break
-        best_pair, best_count = min(pair_counts.items(), key=lambda kv: (-kv[1], kv[0]))
-        if best_count < 2:
-            break
-        left, right = best_pair
+        _, left, right = heapq.heappop(heap)
         joined = left + right
-        merges.append(best_pair)
-        merged: dict[tuple[str, ...], int] = {}
-        for seq, freq in seqs.items():
-            new_seq = _apply_merge(seq, left, right, joined)
-            merged[new_seq] = merged.get(new_seq, 0) + freq
-        seqs = merged
+        merges.append((left, right))
+        changed: set[tuple[str, str]] = set()
+        for w in list(holders[left, right]):
+            seq, freq = seqs[w], freqs[w]
+            for pair in zip(seq, seq[1:]):
+                counts[pair] -= freq
+                holders[pair].discard(w)
+                changed.add(pair)
+            seq = seqs[w] = _apply_merge(seq, left, right, joined)
+            for pair in zip(seq, seq[1:]):
+                counts[pair] += freq
+                holders.setdefault(pair, set()).add(w)
+                changed.add(pair)
+        for pair in changed:
+            c = counts[pair]
+            if c:
+                heapq.heappush(heap, (-c, *pair))
+            else:
+                del counts[pair], holders[pair]
         if joined not in known:
             tokens.append(joined)
             known.add(joined)

@@ -20,7 +20,7 @@ import os
 import sys
 
 from .bpe import Vocab, train_bpe
-from .data import Instance, load_corpus, summarize
+from .data import Instance, first_rows, load_corpus, summarize
 from .encoder import EncoderConfig
 from .errors import ConfigError, MelbertError
 from .evaluation import (
@@ -211,7 +211,8 @@ def train_config_from(settings: dict) -> TrainConfig:
 def cmd_tokenizer_train(args) -> int:
     _require_file(args.corpus, "corpus")
     instances = _load_instances(args.corpus)
-    corpus_lines = (" ".join(inst.tokens) for inst in instances)
+    # one line per sentence, not per annotated target
+    corpus_lines = (" ".join(inst.tokens) for inst in first_rows(instances).values())
     vocab = train_bpe(corpus_lines, args.vocab_size)
     vocab.save(args.out)
     print(f"wrote {len(vocab)} tokens ({len(vocab.merges)} merges) to {args.out}")

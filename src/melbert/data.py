@@ -149,22 +149,25 @@ class DatasetSummary:
     avg_sentence_len: float
 
 
+def first_rows(instances) -> dict[str, Instance]:
+    """Each distinct sentence_id's first row, in first-seen order: one
+    entry per sentence, however many of its targets are annotated."""
+    out: dict[str, Instance] = {}
+    for inst in instances:
+        out.setdefault(inst.sentence_id, inst)
+    return out
+
+
 def summarize(instances) -> DatasetSummary:
     """Corpus statistics: rows, positive rate, unique sentences, mean length."""
     if not instances:
         raise ContractError("cannot summarize an empty dataset")
-    first_seen: dict[str, int] = {}
-    positives = 0
-    for inst in instances:
-        if inst.sentence_id not in first_seen:
-            first_seen[inst.sentence_id] = len(inst.tokens)
-        positives += inst.gold
-    lengths = list(first_seen.values())
+    sentences = first_rows(instances).values()
     return DatasetSummary(
         token_count=len(instances),
-        metaphor_pct=100.0 * positives / len(instances),
-        sentence_count=len(first_seen),
-        avg_sentence_len=float(np.mean(lengths)),
+        metaphor_pct=100.0 * sum(inst.gold for inst in instances) / len(instances),
+        sentence_count=len(sentences),
+        avg_sentence_len=float(np.mean([len(inst.tokens) for inst in sentences])),
     )
 
 
@@ -173,12 +176,7 @@ def kfold_split(instances, k: int, seed: int) -> list[tuple[list[Instance], list
 
     Fold sentence-counts differ by at most one.
     """
-    ids: list[str] = []
-    seen = set()
-    for inst in instances:
-        if inst.sentence_id not in seen:
-            seen.add(inst.sentence_id)
-            ids.append(inst.sentence_id)
+    ids = list(first_rows(instances))
     if k < 2 or k > len(ids):
         raise ContractError(f"k must lie in [2, {len(ids)}] (unique sentences), got {k}")
     perm = Rng(seed, "kfold").permutation(len(ids))

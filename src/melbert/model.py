@@ -98,10 +98,10 @@ class ModelConfig:
         return cls(
             encoder=EncoderConfig.from_dict(d["encoder"]),
             variant=Variant.parse(d["variant"]),
-            head_dim=d.get("head_dim"),
-            threshold=d.get("threshold", 0.5),
-            target_pooling=d.get("target_pooling", "mean"),
-            max_len=d.get("max_len", 150),
+            head_dim=d["head_dim"],
+            threshold=d["threshold"],
+            target_pooling=d["target_pooling"],
+            max_len=d["max_len"],
         )
 
 

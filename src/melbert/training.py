@@ -15,7 +15,7 @@ to an uninterrupted one.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Callable, Optional
 
 import numpy as np
@@ -25,7 +25,8 @@ from .autodiff import Tape
 from .bpe import Vocab
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import Instance, kfold_split
-from .errors import ConfigError, ContractError, TrainingDivergedError
+from .encoder import EncoderConfig
+from .errors import ConfigError, ContractError, FormatError, TrainingDivergedError
 from .heads import bce_loss, mse_loss
 from .model import MetaphorModel, ModelConfig, Prediction
 from .rng import Rng
@@ -65,7 +66,7 @@ class TrainConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
         d = dict(d)
-        d["seeds"] = tuple(d.get("seeds", (0, 1, 2, 3, 4)))
+        d["seeds"] = tuple(d["seeds"])
         return cls(**d)
 
 
@@ -183,17 +184,60 @@ def save_model_checkpoint(path, model: MetaphorModel) -> None:
     save_checkpoint(path, {"kind": "model", "model": model.cfg.to_dict()}, _live_arrays(model))
 
 
-def _restore(meta: dict, arrays: dict[str, np.ndarray], vocab: Vocab) -> tuple[MetaphorModel, Optional[AdamState]]:
+# the keys of each checkpoint kind's metadata, as its save function writes them
+_META_KEYS = {
+    "model": ("kind", "model"),
+    "train": ("kind", "model", "train", "seed", "epoch", "global_step", "adam_t", "rng_state", "loss_curve"),
+}
+
+
+def _check_keys(d, keys, where: str) -> None:
+    if not isinstance(d, dict):
+        raise FormatError(f"checkpoint metadata: {where} is not an object")
+    for key in keys:
+        if key not in d:
+            raise FormatError(f"checkpoint metadata: {where} has no key {key!r}")
+    unknown = sorted(set(d) - set(keys))
+    if unknown:
+        raise FormatError(f"checkpoint metadata: {where} has unknown key {unknown[0]!r}")
+
+
+def _read_meta(meta) -> tuple[ModelConfig, Optional[TrainConfig]]:
+    """The model and, for a training checkpoint, the training config that a
+    checkpoint's metadata declares, with every key checked.
+
+    A missing or unknown key, or a value the config classes reject, is a
+    ``FormatError``: the file is at fault, not the caller's settings.
+    """
+    if not isinstance(meta, dict) or "kind" not in meta:
+        raise FormatError("checkpoint metadata: the top level has no key 'kind'")
+    kind = meta["kind"]
+    if kind not in _META_KEYS:
+        raise ContractError(f"checkpoint kind {kind!r} is not loadable as a model")
+    _check_keys(meta, _META_KEYS[kind], "the top level")
+    _check_keys(meta["model"], [f.name for f in fields(ModelConfig)], "'model'")
+    _check_keys(meta["model"]["encoder"], [f.name for f in fields(EncoderConfig)], "'model.encoder'")
+    if kind == "train":
+        _check_keys(meta["train"], [f.name for f in fields(TrainConfig)], "'train'")
+    try:
+        return ModelConfig.from_dict(meta["model"]), TrainConfig.from_dict(meta["train"]) if kind == "train" else None
+    except ConfigError as e:
+        raise FormatError(f"checkpoint metadata: {e}") from e
+
+
+def _restore(
+    cfg: ModelConfig, meta: dict, arrays: dict[str, np.ndarray], vocab: Vocab
+) -> tuple[MetaphorModel, Optional[AdamState]]:
     """The parameter loader: the model a checkpoint holds and, for a
     training checkpoint, its Adam moments (``None`` for a model checkpoint).
 
-    Parameters are copied straight from the arrays; nothing is drawn. Each
-    parameter needs an ``adam.m.`` and an ``adam.v.`` block of its own
-    shape in a training checkpoint and none in a model checkpoint; any
-    other block is an error.
+    ``cfg`` and ``meta`` come from ``_read_meta``. Parameters are copied
+    straight from the arrays; nothing is drawn. Each parameter needs an
+    ``adam.m.`` and an ``adam.v.`` block of its own shape in a training
+    checkpoint and none in a model checkpoint; any other block is an error.
     """
     params = {k: v for k, v in arrays.items() if not k.startswith("adam.")}
-    model = MetaphorModel.from_arrays(ModelConfig.from_dict(meta["model"]), vocab, params)
+    model = MetaphorModel.from_arrays(cfg, vocab, params)
     moments = {k: v for k, v in arrays.items() if k.startswith("adam.")}
     if meta["kind"] == "model":
         if moments:
@@ -225,9 +269,7 @@ def load_model(path, vocab: Vocab) -> MetaphorModel:
     init is drawn.
     """
     meta, arrays = load_checkpoint(path)
-    if meta.get("kind") not in ("model", "train"):
-        raise ContractError(f"checkpoint kind {meta.get('kind')!r} is not loadable as a model")
-    return _restore(meta, arrays, vocab)[0]
+    return _restore(_read_meta(meta)[0], meta, arrays, vocab)[0]
 
 
 def train_single(
@@ -264,13 +306,14 @@ def train_single(
         loss_curve: list[float] = []
     else:
         meta, arrays = load_checkpoint(resume_from)
-        if meta.get("kind") != "train":
+        saved_model_cfg, saved_cfg = _read_meta(meta)
+        if saved_cfg is None:
             raise ContractError("resume checkpoint must be a training checkpoint")
-        if meta["model"] != model_cfg.to_dict() or meta["train"] != cfg.to_dict():
+        if saved_model_cfg != model_cfg or saved_cfg != cfg:
             raise ContractError("resume checkpoint was written under a different configuration")
         if meta["seed"] != seed:
             raise ContractError(f"resume checkpoint is for seed {meta['seed']}, not {seed}")
-        model, adam = _restore(meta, arrays, vocab)
+        model, adam = _restore(saved_model_cfg, meta, arrays, vocab)
         train_rng.set_state(meta["rng_state"])
         start_epoch = meta["epoch"]
         global_step = meta["global_step"]

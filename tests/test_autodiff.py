@@ -489,3 +489,37 @@ class TestEmbeddingErrors:
     def test_out_of_range_id(self):
         with pytest.raises(VocabError):
             ad.embedding(Tensor(np.zeros((4, 2))), np.array([0, 4]))
+
+
+class TestEmbeddingBackward:
+    """The table gradient equals ``np.add.at`` into zeros, bit for bit."""
+
+    @staticmethod
+    def table_grad(rows, ids, g):
+        w = Tensor(np.zeros((rows, g.shape[-1])), requires_grad=True)
+        with Tape() as tape:
+            ad.embedding(w, ids)
+        (_, _, bw), = tape.records
+        (grad,) = bw(g)
+        want = np.zeros(w.shape)
+        np.add.at(want, ids, g)
+        assert grad.shape == want.shape
+        assert grad.tobytes() == want.tobytes()
+        return grad
+
+    def test_repeated_ids_sum_in_order(self):
+        rng = np.random.default_rng(3)
+        ids = rng.integers(0, 9, size=200)
+        self.table_grad(12, ids, rng.standard_normal((200, 5)) * 10.0 ** rng.integers(-8, 8, size=(200, 1)))
+
+    def test_id_grid(self):
+        rng = np.random.default_rng(4)
+        self.table_grad(6, rng.integers(0, 6, size=(3, 7)), rng.standard_normal((3, 7, 4)))
+
+    def test_negative_zero_gradients(self):
+        grad = self.table_grad(3, np.array([0, 0, 2]), np.full((3, 2), -0.0))
+        assert not np.signbit(grad).any()
+
+    def test_empty_ids(self):
+        grad = self.table_grad(4, np.zeros(0, dtype=np.int64), np.zeros((0, 3)))
+        assert (grad == 0).all()

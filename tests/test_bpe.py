@@ -1,5 +1,7 @@
 """Tokenizer training, round trips, and the vocabulary file format."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -12,11 +14,56 @@ from melbert.bpe import (
     SEP_ID,
     UNK_ID,
     Vocab,
+    _apply_merge,
+    _word_symbols,
+    pos_token,
     train_bpe,
 )
+from melbert.data import SyntheticSpec, make_synthetic_corpus
 from melbert.errors import ConfigError, ContractError, FormatError, VocabError
+from melbert.rng import Rng
 
 FLOOR = len(RESERVED) + len(DEFAULT_POS_TAGS)  # before any corpus alphabet
+
+
+def recount_train_bpe(corpus, vocab_size: int, pos_tags=DEFAULT_POS_TAGS) -> Vocab:
+    """Reference trainer: recounts every pair of every word before each
+    merge and rewrites every word after it. ``train_bpe`` must match it."""
+    word_freq: Counter = Counter()
+    for sentence in corpus:
+        for i, word in enumerate(sentence.split()):
+            word_freq[_word_symbols(word, initial=i == 0)] += 1
+    alphabet = sorted({sym for seq in word_freq for sym in seq})
+    tokens = list(RESERVED) + [pos_token(t) for t in pos_tags] + alphabet
+    known = set(tokens)
+    merges = []
+    seqs = dict(word_freq)
+    while len(tokens) < vocab_size:
+        pair_counts: Counter = Counter()
+        for seq, freq in seqs.items():
+            for pair in zip(seq, seq[1:]):
+                pair_counts[pair] += freq
+        if not pair_counts:
+            break
+        best_pair, best_count = min(pair_counts.items(), key=lambda kv: (-kv[1], kv[0]))
+        if best_count < 2:
+            break
+        left, right = best_pair
+        joined = left + right
+        merges.append(best_pair)
+        merged: dict = {}
+        for seq, freq in seqs.items():
+            new_seq = _apply_merge(seq, left, right, joined)
+            merged[new_seq] = merged.get(new_seq, 0) + freq
+        seqs = merged
+        if joined not in known:
+            tokens.append(joined)
+            known.add(joined)
+    return Vocab(
+        token_to_id={t: i for i, t in enumerate(tokens)},
+        merges=merges,
+        pos_tags=tuple(pos_tags),
+    )
 
 
 class TestTraining:
@@ -76,6 +123,108 @@ class TestTraining:
         assert vocab.token_to_id["[UNK]"] == UNK_ID == 1
         assert vocab.token_to_id["[CLS]"] == CLS_ID == 2
         assert vocab.token_to_id["[SEP]"] == SEP_ID == 3
+
+
+def _pseudo_word_corpus(seed: int, n: int) -> list[str]:
+    """Sentences whose content words are made-up consonant-vowel words."""
+    rng = Rng(seed, "test/pseudo-words")
+    words = iter(dict.fromkeys(
+        "".join(rng.choice("bdgkmnprst") + rng.choice("aeiou") for _ in range(2 + k % 2))
+        for k in range(2000)
+    ))
+    fields = {
+        name: {"nouns": tuple(next(words) for _ in range(40)), "verbs": tuple(next(words) for _ in range(20))}
+        for name in ("alpha", "beta", "gamma")
+    }
+    return [" ".join(i.tokens) for i in make_synthetic_corpus(seed, n, SyntheticSpec(fields=fields))]
+
+
+class TestIncrementalCounts:
+    """``train_bpe`` keeps pair counts across merges; its vocabulary must
+    equal the recounting reference's, merge for merge and byte for byte."""
+
+    @staticmethod
+    def assert_same(corpus, vocab_size, tmp_path, pos_tags=DEFAULT_POS_TAGS):
+        corpus = list(corpus)
+        got = train_bpe(corpus, vocab_size, pos_tags)
+        want = recount_train_bpe(corpus, vocab_size, pos_tags)
+        assert got.merges == want.merges
+        assert got.token_to_id == want.token_to_id
+        assert got == want
+        got.save(tmp_path / "got.txt")
+        want.save(tmp_path / "want.txt")
+        assert (tmp_path / "got.txt").read_bytes() == (tmp_path / "want.txt").read_bytes()
+        return got
+
+    def test_synthetic_corpus(self, tmp_path):
+        corpus = [" ".join(i.tokens) for i in make_synthetic_corpus(3, 400)]
+        assert len(self.assert_same(corpus, 400, tmp_path).merges) > 100
+
+    def test_joined_clauses(self, tmp_path):
+        clauses = [" ".join(i.tokens) for i in make_synthetic_corpus(4, 600)]
+        rng = Rng(4, "test/clauses")
+        corpus, at = [], 0
+        while at < len(clauses):
+            k = int(rng.integers(2, 12))
+            corpus.append(" , ".join(clauses[at : at + k]))
+            at += k
+        self.assert_same(corpus, 400, tmp_path)
+
+    def test_pseudo_word_corpus(self, tmp_path):
+        vocab = self.assert_same(_pseudo_word_corpus(8, 500), 800, tmp_path)
+        assert len(vocab.merges) > 300
+
+    def test_runs_of_one_letter(self, tmp_path):
+        # overlapping pairs count once per position: aaaa holds (a, a) three times
+        for vocab_size in range(FLOOR + 2, FLOOR + 10):
+            self.assert_same(["aaaa aaaaa a", "aaa aaaaaaa"], vocab_size, tmp_path)
+
+    def test_first_word_with_marker_shares_the_later_words_entry(self, tmp_path):
+        # "▁cat" first and "cat" later spell the same symbols; each occurs
+        # once, so only their summed count of 2 lets the pairs merge
+        vocab = self.assert_same([MARKER + "cat x", "y cat"], 200, tmp_path)
+        assert vocab.merges == [("a", "t"), ("c", "at"), (MARKER, "cat")]
+
+    def test_join_that_is_already_a_token(self, tmp_path):
+        # text spelling a reserved token: its last merge joins "[SEP]",
+        # which is recorded but takes no new id
+        vocab = self.assert_same(["[SEP] x", "[SEP] y", "[SEP]"], 200, tmp_path)
+        assert vocab.merges[-1] == ("[", "SEP]")
+        assert len(vocab) == FLOOR + 8 + len(vocab.merges) - 1
+
+    def test_all_counts_tied(self, tmp_path):
+        vocab = self.assert_same(["ab cd ef gh", "ab cd ef gh"], 200, tmp_path)
+        assert vocab.merges[0] == ("a", "b")
+
+    def test_budgets(self, tmp_path):
+        corpus = _pseudo_word_corpus(9, 120)
+        unbounded = train_bpe(corpus, 10_000)
+        free = len(unbounded.merges)
+        floor = len(unbounded) - free
+        for vocab_size in (floor, floor + 1, floor + free // 2, floor + free, floor + free + 50):
+            self.assert_same(corpus, vocab_size, tmp_path)
+
+    def test_generator_corpus(self, tmp_path):
+        corpus = _pseudo_word_corpus(10, 100)
+        got = train_bpe((line for line in corpus), 500)
+        assert got == recount_train_bpe(corpus, 500)
+
+    def test_custom_pos_tags(self, tmp_path):
+        self.assert_same(["the cat sat", "the cat ran"], 100, tmp_path, pos_tags=("NOUN",))
+
+    def test_fuzz_small_alphabets(self, tmp_path):
+        rng = np.random.default_rng(2024)
+        for _ in range(50):
+            alphabet = "ab" if rng.random() < 0.5 else "abc" + MARKER
+            lines = [
+                " ".join(
+                    "".join(rng.choice(list(alphabet), size=int(rng.integers(1, 7))))
+                    for _ in range(int(rng.integers(1, 7)))
+                )
+                for _ in range(int(rng.integers(1, 6)))
+            ]
+            floor = FLOOR + len({c for line in lines for c in line if c != " "} | {MARKER})
+            self.assert_same(lines, floor + int(rng.integers(0, 30)), tmp_path)
 
 
 class TestEncodeDecode:
@@ -165,6 +314,51 @@ class TestVocabFile:
         with pytest.raises(FormatError) as exc:
             Vocab.load(path)
         assert "line 3" in str(exc.value)
+
+    @staticmethod
+    def edited(vocab, tmp_path, edit):
+        """Save ``vocab``, then rewrite its lines (header first) with ``edit``."""
+        path = tmp_path / "edited.txt"
+        vocab.save(path)
+        lines = path.read_text(encoding="utf-8").split("\n")
+        edit(lines)
+        path.write_text("\n".join(lines), encoding="utf-8")
+        return path
+
+    def load_fails(self, vocab, tmp_path, edit, match):
+        with pytest.raises(FormatError, match=match):
+            Vocab.load(self.edited(vocab, tmp_path, edit))
+
+    @staticmethod
+    def set_line(index, text):
+        def edit(lines):
+            lines[index] = text
+        return edit
+
+    def test_duplicate_token_rejected(self, vocab, tmp_path):
+        n = len(vocab)
+        self.load_fails(vocab, tmp_path, lambda lines: lines.insert(n + 1, f"at\t{n}"),
+                        rf"line {n + 2}: token 'at' is listed twice")
+
+    def test_id_gap_rejected(self, vocab, tmp_path):
+        n = len(vocab)  # the last token, on line n + 1, moves from id n - 1 to id n
+        last = vocab.id_to_token[n - 1]
+        self.load_fails(vocab, tmp_path, self.set_line(n, f"{last}\t{n}"), rf"line {n + 1}: id {n} is out of range")
+
+    def test_negative_and_repeated_ids_rejected(self, vocab, tmp_path):
+        self.load_fails(vocab, tmp_path, self.set_line(9, "[POS:DET]\t-1"), "line 10: id -1 is negative")
+        self.load_fails(vocab, tmp_path, self.set_line(9, "[POS:DET]\t7"), "line 10: id 7 is already taken on line 9")
+
+    def test_reserved_tokens_must_lead(self, vocab, tmp_path):
+        def swap(lines):
+            lines[2], lines[3] = "[CLS]\t1", "[UNK]\t2"
+
+        self.load_fails(vocab, tmp_path, swap, r"line 3: id 1 must be the reserved token '\[UNK\]'")
+
+    @pytest.mark.parametrize("merge,bad", [("zz\tat", "zz"), ("c\tqq", "qq"), ("t\tc", "tc")])
+    def test_merge_of_unknown_tokens_rejected(self, vocab, tmp_path, merge, bad):
+        self.load_fails(vocab, tmp_path, lambda lines: lines.insert(len(vocab) + 2, merge),
+                        rf"line {len(vocab) + 3}: merge .* uses '{bad}', not a token")
 
     def test_loaded_vocab_encodes_identically(self, vocab, tmp_path):
         path = tmp_path / "vocab.txt"

@@ -1,5 +1,6 @@
 """Command-line workflow tests driven through main()."""
 
+import dataclasses
 import filecmp
 import functools
 import json
@@ -8,6 +9,7 @@ import os
 import pytest
 
 from melbert import cli
+from melbert.checkpoint import load_checkpoint, save_checkpoint
 from melbert.cli import main, parse_config_file
 from melbert.data import make_synthetic_corpus, save_corpus
 from melbert.errors import ConfigError
@@ -83,6 +85,19 @@ class TestTokenizerTrain:
                    "--out", workdir / "x.txt")
         assert code == 2
         assert "not found" in capsys.readouterr().err
+
+    def test_one_line_per_sentence(self, tmp_path):
+        # the same sentence annotated at three targets counts once
+        rows = make_synthetic_corpus(23, 12)
+        first = rows[0]
+        others = [i for i in range(len(first.tokens)) if i != first.target_index][:2]
+        extra = [dataclasses.replace(first, target_index=i) for i in others]
+        save_corpus(rows, tmp_path / "once.tsv")
+        save_corpus([first, *extra, *rows[1:]], tmp_path / "thrice.tsv")
+        for name in ("once", "thrice"):
+            assert main(["tokenizer-train", "--corpus", str(tmp_path / f"{name}.tsv"),
+                         "--vocab-size", "240", "--out", str(tmp_path / f"{name}.txt")]) == 0
+        assert (tmp_path / "once.txt").read_bytes() == (tmp_path / "thrice.txt").read_bytes()
 
 
 class TestTrain:
@@ -201,6 +216,21 @@ class TestPredict:
         doc = json.loads(capsys.readouterr().out)
         assert doc["target"] == "devours" and doc["label"] in (0, 1)
         assert 0.0 < doc["score"] < 1.0
+
+    @pytest.mark.parametrize("edit", [
+        lambda meta: meta.pop("model"),
+        lambda meta: meta["model"]["encoder"].update(bogus=1),
+    ], ids=["no-model", "unknown-encoder-key"])
+    def test_bad_checkpoint_metadata_is_one_error_line(self, workdir, tmp_path, capsys, edit):
+        meta, arrays = load_checkpoint(workdir / "model.ckpt")
+        edit(meta)
+        save_checkpoint(tmp_path / "bad.ckpt", meta, arrays)
+        code = run(workdir, "predict", "--vocab", workdir / "vocab.txt",
+                   "--checkpoint", tmp_path / "bad.ckpt",
+                   "--sentence", "the river devours the shore", "--target-index", "2")
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: checkpoint metadata") and err.count("\n") == 1
 
     def test_index_out_of_range(self, workdir, capsys):
         code = run(workdir, "predict", "--vocab", workdir / "vocab.txt",

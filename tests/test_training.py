@@ -12,7 +12,7 @@ from melbert.data import make_synthetic_corpus
 from melbert.bpe import train_bpe
 from melbert.checkpoint import load_checkpoint, save_checkpoint
 from melbert.encoder import EncoderConfig
-from melbert.errors import ConfigError, ContractError, TrainingDivergedError
+from melbert.errors import ConfigError, ContractError, FormatError, TrainingDivergedError
 from melbert.model import MetaphorModel, ModelConfig, Variant
 from melbert.rng import Rng
 from melbert.training import (
@@ -302,11 +302,15 @@ def params_sha256(model) -> str:
     return h.hexdigest()
 
 
-def rewrite(src, dst, edit):
-    """Copy checkpoint ``src`` to ``dst`` with ``edit`` applied to its arrays."""
+def rewrite(src, dst, edit=None, edit_meta=None):
+    """Copy checkpoint ``src`` to ``dst`` with ``edit`` applied to its arrays
+    and ``edit_meta`` to its metadata."""
     meta, arrays = load_checkpoint(src)
     arrays = dict(arrays)
-    edit(arrays)
+    if edit is not None:
+        edit(arrays)
+    if edit_meta is not None:
+        edit_meta(meta)
     save_checkpoint(dst, meta, arrays)
     return dst
 
@@ -401,6 +405,65 @@ class TestLoader:
         path = rewrite(train_ckpt, tmp_path / "t.ckpt", reshape)
         with pytest.raises(ContractError, match=r"optimizer block 'adam.v.head.b' shape \(2,\)"):
             self.resume(path)
+
+
+class TestMetadata:
+    """Checkpoint metadata is read in one checked step; a bad file is a FormatError."""
+
+    CFG = TrainConfig(epochs=2, batch_size=8, seeds=(0,))
+    TRAIN_KEYS = ("model", "train", "seed", "epoch", "global_step", "adam_t", "rng_state", "loss_curve")
+
+    @pytest.fixture(scope="class")
+    def ckpts(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("meta")
+        model = MetaphorModel(tiny_cfg(), VOCAB, seed=0)
+        save_model_checkpoint(root / "m.ckpt", model)
+        save_train_checkpoint(root / "t.ckpt", model, self.CFG, AdamState.init_like(model.parameters()),
+                              Rng(0, "train"), 0, 1, 3, [0.5])
+        return root / "m.ckpt", root / "t.ckpt"
+
+    def resume(self, path):
+        return train_single(tiny_cfg(), VOCAB, CORPUS, self.CFG, seed=0, resume_from=path)
+
+    def test_model_checkpoint_without_model(self, ckpts, tmp_path):
+        path = rewrite(ckpts[0], tmp_path / "m.ckpt", edit_meta=lambda m: m.pop("model"))
+        with pytest.raises(FormatError, match="no key 'model'"):
+            load_model(path, VOCAB)
+
+    def test_unknown_encoder_key(self, ckpts, tmp_path):
+        def add_key(meta):
+            meta["model"]["encoder"]["bogus"] = 1
+
+        for src in ckpts:
+            path = rewrite(src, tmp_path / src.name, edit_meta=add_key)
+            with pytest.raises(FormatError, match="'model.encoder' has unknown key 'bogus'"):
+                load_model(path, VOCAB)
+        with pytest.raises(FormatError, match="unknown key 'bogus'"):
+            self.resume(tmp_path / "t.ckpt")
+
+    @pytest.mark.parametrize("key", TRAIN_KEYS)
+    def test_resume_without_key(self, ckpts, tmp_path, key):
+        path = rewrite(ckpts[1], tmp_path / "t.ckpt", edit_meta=lambda m: m.pop(key))
+        with pytest.raises(FormatError, match=f"no key '{key}'"):
+            self.resume(path)
+
+    def test_unknown_top_level_key_and_missing_kind(self, ckpts, tmp_path):
+        path = rewrite(ckpts[0], tmp_path / "a.ckpt", edit_meta=lambda m: m.update(extra=0))
+        with pytest.raises(FormatError, match="unknown key 'extra'"):
+            load_model(path, VOCAB)
+        path = rewrite(ckpts[0], tmp_path / "b.ckpt", edit_meta=lambda m: m.pop("kind"))
+        with pytest.raises(FormatError, match="no key 'kind'"):
+            load_model(path, VOCAB)
+
+    def test_value_the_config_rejects(self, ckpts, tmp_path):
+        def bad_dropout(meta):
+            meta["model"]["encoder"]["dropout"] = 1.5
+
+        with pytest.raises(FormatError, match="dropout"):
+            load_model(rewrite(ckpts[0], tmp_path / "m.ckpt", edit_meta=bad_dropout), VOCAB)
+        with pytest.raises(FormatError, match="warmup_fraction"):
+            self.resume(rewrite(ckpts[1], tmp_path / "t.ckpt",
+                                edit_meta=lambda m: m["train"].update(warmup_fraction=2.0)))
 
 
 class TestBagging:
