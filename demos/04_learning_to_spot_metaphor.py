@@ -26,7 +26,7 @@ def main():
                         hidden_dim=64, ffn_dim=256, dropout=0.0, init_std=0.1)
     model_cfg = ModelConfig(encoder=enc)
     train_cfg = TrainConfig(epochs=14, batch_size=8, peak_lr=1e-3,
-                            warmup_fraction=1 / 6, grad_clip=1.0, seeds=(0,))
+                            warmup_fraction=1 / 6, grad_clip=1.0)
 
     print(f"\n{'epoch':>5}  {'loss':>7}  {'held F1':>8}")
 

@@ -25,7 +25,7 @@ def main():
     # each member sees only k-1 folds, so it needs a longer run than a
     # model trained on everything
     train_cfg = TrainConfig(epochs=28, batch_size=8, peak_lr=1e-3,
-                            warmup_fraction=1 / 6, grad_clip=1.0, seeds=(0,))
+                            warmup_fraction=1 / 6, grad_clip=1.0)
 
     k = 3
     print(f"training a {k}-fold bagged ensemble ({k} models)...")

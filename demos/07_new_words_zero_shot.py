@@ -27,7 +27,7 @@ def main():
     enc = EncoderConfig(vocab_size=len(vocab), num_layers=1, num_heads=2,
                         hidden_dim=64, ffn_dim=256, dropout=0.0, init_std=0.1)
     train_cfg = TrainConfig(epochs=14, batch_size=8, peak_lr=1e-3,
-                            warmup_fraction=1 / 6, grad_clip=1.0, seeds=(0,))
+                            warmup_fraction=1 / 6, grad_clip=1.0)
     result = train_single(ModelConfig(encoder=enc), vocab, train_set, train_cfg, seed=0)
 
     familiar = make_synthetic_corpus(52, 200)

@@ -31,7 +31,7 @@ def main():
     # whichever epoch correlates best
     train_cfg = TrainConfig(epochs=30, batch_size=8, peak_lr=1e-3,
                             warmup_fraction=1 / 6, grad_clip=1.0,
-                            objective="mse", seeds=(0,))
+                            objective="mse")
     target = np.array([i.label for i in heldout])
     best = {"pearson": -2.0, "preds": None}
 

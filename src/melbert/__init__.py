@@ -3,6 +3,7 @@
 The package is organized bottom-up:
 
 - ``autodiff``: float64 tensors with taped reverse-mode gradients
+- ``settings``: the config schema shared by checkpoints, config files and flags
 - ``rng``: one seedable Philox stream feeding every random choice
 - ``bpe``: word-level byte-pair-encoding tokenizer
 - ``inputs``: sentence/target id sequences with segment and POS marking
@@ -11,7 +12,7 @@ The package is organized bottom-up:
 - ``model``: the five scoring variants wired to the encoder
 - ``data``: corpus loading, summaries, synthesis, k-fold splits
 - ``training``: Adam, warmup/decay schedule, checkpoints, bagging
-- ``evaluation``: metrics, breakdowns, significance, correlation
+- ``evaluation``: metrics, breakdowns, correlation
 - ``cli``: the ``melbert`` command-line entry point
 """
 

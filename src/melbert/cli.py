@@ -5,7 +5,9 @@ vocabulary from a corpus, train fits one model, eval scores a
 checkpoint with per-group breakdowns, predict scores a single sentence,
 ablate runs all five variants under one protocol, and cv trains a
 bagged k-fold ensemble. Settings come from an optional config file of
-``key = value`` lines, overridden by command-line flags. Exit codes:
+``key = value`` lines, overridden by command-line flags; both take the
+fields of the config classes, and a command refuses a setting it would
+not use. Exit codes:
 0 success, 1 runtime failure, 2 usage problems (bad flags, missing
 files, malformed settings).
 """
@@ -30,6 +32,7 @@ from .evaluation import (
     zero_shot_eval,
 )
 from .model import ModelConfig, Variant
+from .settings import Field, parse_text, plain, schema, type_label
 from .training import (
     TrainConfig,
     bagging_cv_train,
@@ -43,71 +46,31 @@ class UsageError(Exception):
     """Operator mistake: wrong path, malformed setting, bad combination."""
 
 
-def _opt_float(v: str):
-    return None if v.lower() == "none" else float(v)
+@dataclasses.dataclass(frozen=True)
+class RunSettings:
+    """The settings of a run that no model or training config holds."""
+    seed: int = 0
+    k: int = 5  # folds of a cv run
 
 
-def _opt_int(v: str):
-    return None if v.lower() == "none" else int(v)
+# every field of these classes is a setting, except those in _NOT_SETTINGS:
+# vocab_size comes from the vocabulary, max_positions from max_len, and
+# encoder is the nesting itself
+_SETTINGS_CLASSES = (EncoderConfig, ModelConfig, TrainConfig, RunSettings)
+_NOT_SETTINGS = {"vocab_size", "max_positions", "encoder"}
+# the settings a command would ignore, which it refuses instead
+_UNUSED = {"train": {"k"}, "ablate": {"k", "variant"}, "cv": set()}
 
 
-def _seed_list(v: str):
-    return tuple(int(part) for part in v.split(","))
+def command_settings(command: str) -> dict[str, Field]:
+    """The settings ``command`` takes, by key."""
+    skip = _NOT_SETTINGS | _UNUSED[command]
+    return {f.name: f for cls in _SETTINGS_CLASSES for f in schema(cls) if f.name not in skip}
 
 
-COERCERS = {
-    "variant": str,
-    "seed": int,
-    "seeds": _seed_list,
-    "epochs": int,
-    "batch_size": int,
-    "peak_lr": float,
-    "warmup_fraction": float,
-    "pos_weight": float,
-    "grad_clip": _opt_float,
-    "objective": str,
-    "max_len": int,
-    "threshold": float,
-    "num_layers": int,
-    "num_heads": int,
-    "hidden_dim": int,
-    "ffn_dim": int,
-    "dropout": float,
-    "init_std": float,
-    "head_dim": _opt_int,
-    "target_pooling": str,
-    "vocab_size": int,
-    "k": int,
-}
-
-DEFAULTS = {
-    "variant": "melbert",
-    "seed": 0,
-    "seeds": (0, 1, 2, 3, 4),
-    "epochs": 3,
-    "batch_size": 32,
-    "peak_lr": 3e-4,
-    "warmup_fraction": 2.0 / 3.0,
-    "pos_weight": 1.0,
-    "grad_clip": None,
-    "objective": "bce",
-    "max_len": 150,
-    "threshold": 0.5,
-    "num_layers": 2,
-    "num_heads": 2,
-    "hidden_dim": 64,
-    "ffn_dim": 256,
-    "dropout": 0.2,
-    "init_std": 0.02,
-    "head_dim": None,
-    "target_pooling": "mean",
-    "vocab_size": 4000,
-    "k": 5,
-}
-
-
-def parse_config_file(path) -> dict:
+def parse_config_file(path, command: str) -> dict:
     """Read ``key = value`` lines; # starts a comment anywhere."""
+    keys = command_settings(command)
     settings = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -118,36 +81,40 @@ def parse_config_file(path) -> dict:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
             key, _, value = line.partition("=")
             key, value = key.strip(), value.strip()
-            if key not in COERCERS:
-                raise ConfigError(f"{path}:{lineno}: unknown setting {key!r}")
+            if key not in keys:
+                raise ConfigError(f"{path}:{lineno}: melbert {command} takes no setting {key!r}")
             try:
-                settings[key] = COERCERS[key](value)
-            except ValueError:
-                raise ConfigError(f"{path}:{lineno}: bad value {value!r} for {key}") from None
+                settings[key] = parse_text(keys[key].hint, value)
+            except ConfigError as e:
+                raise ConfigError(f"{path}:{lineno}: bad value for {key}: {e}") from None
     return settings
 
 
 def resolve_settings(args) -> dict:
-    """defaults < config file < explicit flags."""
-    settings = dict(DEFAULTS)
-    if getattr(args, "config", None):
+    """defaults < config file < explicit flags, over the keys the command takes."""
+    keys = command_settings(args.command)
+    settings = {key: f.default for key, f in keys.items()}
+    if args.config:
         _require_file(args.config, "config file")
-        settings.update(parse_config_file(args.config))
-    for key in COERCERS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            settings[key] = flag
+        settings.update(parse_config_file(args.config, args.command))
+    # a settings flag that was not given leaves no attribute
+    settings.update((key, getattr(args, key)) for key in keys if hasattr(args, key))
     return settings
 
 
+def build_configs(settings: dict, vocab_size: int) -> tuple[ModelConfig, TrainConfig, RunSettings]:
+    """The configs of one run: resolved settings split by field name."""
+    def pick(cls) -> dict:
+        return {f.name: settings[f.name] for f in schema(cls) if f.name in settings}
+
+    encoder = EncoderConfig(vocab_size=vocab_size, max_positions=max(192, settings["max_len"] + 8),
+                            **pick(EncoderConfig))
+    model_cfg = ModelConfig(encoder=encoder, **pick(ModelConfig))
+    return model_cfg, TrainConfig(**pick(TrainConfig)), RunSettings(**pick(RunSettings))
+
+
 def echo_settings(settings: dict) -> str:
-    return "\n".join(f"{k} = {settings[k]}" for k in sorted(settings))
-
-
-def settings_for_report(settings: dict) -> dict:
-    out = dict(settings)
-    out["seeds"] = list(settings["seeds"])
-    return out
+    return "\n".join(f"{k} = {plain(settings[k])}" for k in sorted(settings))
 
 
 def _require_file(path, what: str) -> None:
@@ -171,40 +138,6 @@ def _load_instances(path) -> list[Instance]:
     return result.instances
 
 
-def model_config_from(settings: dict, vocab: Vocab) -> ModelConfig:
-    enc = EncoderConfig(
-        vocab_size=len(vocab),
-        num_layers=settings["num_layers"],
-        num_heads=settings["num_heads"],
-        hidden_dim=settings["hidden_dim"],
-        ffn_dim=settings["ffn_dim"],
-        max_positions=max(192, settings["max_len"] + 8),
-        dropout=settings["dropout"],
-        init_std=settings["init_std"],
-    )
-    return ModelConfig(
-        encoder=enc,
-        variant=Variant.parse(settings["variant"]),
-        head_dim=settings["head_dim"],
-        threshold=settings["threshold"],
-        target_pooling=settings["target_pooling"],
-        max_len=settings["max_len"],
-    )
-
-
-def train_config_from(settings: dict) -> TrainConfig:
-    return TrainConfig(
-        epochs=settings["epochs"],
-        batch_size=settings["batch_size"],
-        peak_lr=settings["peak_lr"],
-        warmup_fraction=settings["warmup_fraction"],
-        pos_weight=settings["pos_weight"],
-        grad_clip=settings["grad_clip"],
-        objective=settings["objective"],
-        seeds=(settings["seed"],),
-    )
-
-
 # -- subcommands -----------------------------------------------------------
 
 
@@ -225,8 +158,7 @@ def cmd_train(args) -> int:
     _require_file(args.vocab, "vocabulary")
     vocab = Vocab.load(args.vocab)
     instances = _load_instances(args.corpus)
-    model_cfg = model_config_from(settings, vocab)
-    train_cfg = train_config_from(settings)
+    model_cfg, train_cfg, run = build_configs(settings, len(vocab))
 
     print(echo_settings(settings))
     summary = summarize(instances)
@@ -240,10 +172,9 @@ def cmd_train(args) -> int:
     log_fh = open(args.log, "a" if args.resume else "w", encoding="utf-8") if args.log else None
     try:
         result = train_single(
-            model_cfg, vocab, instances, train_cfg, seed=settings["seed"],
+            model_cfg, vocab, instances, train_cfg, seed=run.seed,
             log_fh=log_fh,
             checkpoint_path=args.save_train_state,
-            checkpoint_every_epoch=args.save_train_state is not None,
             resume_from=args.resume,
         )
     finally:
@@ -251,7 +182,7 @@ def cmd_train(args) -> int:
             log_fh.close()
     save_model_checkpoint(args.out, result.model)
     curve = ", ".join(f"{v:.4f}" for v in result.loss_curve)
-    print(f"trained {settings['variant']} for {result.global_step} steps; "
+    print(f"trained {model_cfg.variant.value} for {result.global_step} steps; "
           f"epoch losses: {curve}")
     print(f"model written to {args.out}")
     return 0
@@ -341,18 +272,17 @@ def cmd_ablate(args) -> int:
     eval_set = _load_instances(args.eval_corpus)
     os.makedirs(args.out_dir, exist_ok=True)
     sha = dataset_sha256(args.eval_corpus)
-    train_cfg = train_config_from(settings)
+    model_cfg, train_cfg, run = build_configs(settings, len(vocab))
 
     rows = {}
     for variant in Variant:
-        run = dict(settings, variant=variant.value)
-        model_cfg = model_config_from(run, vocab)
-        result = train_single(model_cfg, vocab, train_set, train_cfg, seed=settings["seed"])
+        result = train_single(dataclasses.replace(model_cfg, variant=variant), vocab, train_set,
+                              train_cfg, seed=run.seed)
         report = evaluate_model(result.model, eval_set)
         rows[variant.value] = report.overall
         out_path = os.path.join(args.out_dir, f"{variant.value}.json")
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(report_to_json(report, settings_for_report(run), sha))
+            fh.write(report_to_json(report, dict(settings, variant=variant.value), sha))
     print(render_table(rows, title="variant comparison"))
     print(f"\nfive reports written to {args.out_dir}")
     return 0
@@ -366,15 +296,12 @@ def cmd_cv(args) -> int:
     vocab = Vocab.load(args.vocab)
     train_set = _load_instances(args.corpus)
     eval_set = _load_instances(args.eval_corpus)
-    model_cfg = model_config_from(settings, vocab)
-    train_cfg = train_config_from(settings)
-    ensemble, results = bagging_cv_train(
-        model_cfg, vocab, train_set, k=settings["k"], cfg=train_cfg, seed=settings["seed"],
-    )
+    model_cfg, train_cfg, run = build_configs(settings, len(vocab))
+    ensemble, results = bagging_cv_train(model_cfg, vocab, train_set, k=run.k, cfg=train_cfg, seed=run.seed)
     report = evaluate_model(ensemble, eval_set)
-    print(render_table({"ensemble": report.overall}, title=f"{settings['k']}-fold bagging"))
+    print(render_table({"ensemble": report.overall}, title=f"{run.k}-fold bagging"))
     if args.report:
-        config = settings_for_report(settings)
+        config = {k: plain(v) for k, v in settings.items()}
         with open(args.report, "w", encoding="utf-8") as fh:
             fh.write(report_to_json(report, config, dataset_sha256(args.eval_corpus)))
         print(f"report written to {args.report}")
@@ -384,23 +311,33 @@ def cmd_cv(args) -> int:
 # -- parser ----------------------------------------------------------------
 
 
-def _add_settings_flags(p: argparse.ArgumentParser) -> None:
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line in one line with exit 2, as every usage error."""
+
+    def error(self, message):
+        self.exit(2, f"usage error: {self.prog}: {message}\n")
+
+
+def _flag_type(hint):
+    def parse(text: str):
+        try:
+            return parse_text(hint, text)
+        except ConfigError as e:
+            raise argparse.ArgumentTypeError(str(e)) from None
+    return parse
+
+
+def _add_settings_flags(p: argparse.ArgumentParser, command: str) -> None:
+    """``--config`` and one ``--key-name`` flag per setting ``command`` takes."""
     p.add_argument("--config", help="file of key = value lines")
-    p.add_argument("--variant", choices=[v.value for v in Variant])
-    p.add_argument("--seed", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--peak-lr", dest="peak_lr", type=float)
-    p.add_argument("--pos-weight", dest="pos_weight", type=float)
-    p.add_argument("--max-len", dest="max_len", type=int)
-    p.add_argument("--threshold", type=float)
-    p.add_argument("--num-layers", dest="num_layers", type=int)
-    p.add_argument("--hidden-dim", dest="hidden_dim", type=int)
-    p.add_argument("--dropout", type=float)
+    for key, f in command_settings(command).items():
+        # an absent flag sets nothing, so a config file value stands
+        p.add_argument("--" + key.replace("_", "-"), dest=key, type=_flag_type(f.hint),
+                       default=argparse.SUPPRESS, help=f"{type_label(f.hint)}; default {plain(f.default)}")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="melbert",
         description="metaphor detection with late-interaction encoders",
     )
@@ -408,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tokenizer-train", help="learn a subword vocabulary from a corpus")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--vocab-size", dest="vocab_size", type=int, default=DEFAULTS["vocab_size"])
+    p.add_argument("--vocab-size", dest="vocab_size", type=int, default=4000)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_tokenizer_train)
 
@@ -422,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resume", help="continue from a training checkpoint")
     p.add_argument("--dry-run", dest="dry_run", action="store_true",
                    help="validate settings and corpus, then stop")
-    _add_settings_flags(p)
+    _add_settings_flags(p, "train")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="score a checkpoint against a corpus")
@@ -449,16 +386,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eval-corpus", dest="eval_corpus", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--out-dir", dest="out_dir", required=True)
-    _add_settings_flags(p)
+    _add_settings_flags(p, "ablate")
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("cv", help="bagged k-fold cross-validation ensemble")
     p.add_argument("--corpus", required=True)
     p.add_argument("--eval-corpus", dest="eval_corpus", required=True)
     p.add_argument("--vocab", required=True)
-    p.add_argument("--k", type=int)
     p.add_argument("--report", help="write the ensemble report as JSON")
-    _add_settings_flags(p)
+    _add_settings_flags(p, "cv")
     p.set_defaults(func=cmd_cv)
 
     return parser
@@ -466,7 +402,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, extra = parser.parse_known_args(argv)
+    if extra:
+        # argparse's own message would not name the subcommand
+        parser.error(f"unrecognized arguments for {args.command}: {' '.join(extra)}")
     try:
         return args.func(args)
     except UsageError as e:

@@ -21,7 +21,7 @@ the full-scale geometry (12/12/768) is reachable through the same config.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -32,10 +32,11 @@ from .errors import ConfigError, ContractError
 from .inputs import NUM_SEGMENTS, InputBatch
 from .params import Draw, Take
 from .rng import Rng
+from .settings import Settings
 
 
 @dataclass(frozen=True)
-class EncoderConfig:
+class EncoderConfig(Settings):
     vocab_size: int
     num_layers: int = 2
     num_heads: int = 2
@@ -54,13 +55,6 @@ class EncoderConfig:
             )
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must lie in [0, 1), got {self.dropout}")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EncoderConfig":
-        return cls(**d)
 
 
 @dataclass

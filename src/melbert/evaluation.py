@@ -1,8 +1,8 @@
-"""Classification metrics, grouped breakdowns, significance and
-correlation statistics, and report rendering.
+"""Classification metrics, grouped breakdowns, correlation statistics,
+and report rendering.
 
 Every statistic here is computed from its textbook formula; scipy is
-used only for distribution lookups (the t CDF) and average ranks, so
+used only for average ranks, so
 the tests can cross-check each value against an independent route.
 Zero-denominator cases never raise: the metric is reported as 0.0 and
 the condition is recorded in the report's flags.
@@ -128,39 +128,6 @@ def evaluate_model(model, instances: list[Instance]) -> EvalReport:
     return EvalReport(overall=overall, by_genre=by_genre, by_pos=by_pos, skipped_genre=skipped)
 
 
-@dataclass(frozen=True)
-class TTestResult:
-    statistic: float
-    df: float
-    p_value: float
-
-
-def welch_ttest(a, b) -> TTestResult:
-    """Two-sided Welch t-test for unequal variances.
-
-    The statistic and Welch-Satterthwaite degrees of freedom come from
-    the formulas directly; only the tail probability is looked up.
-    Degenerate zero-variance samples short-circuit: equal means give
-    p = 1, unequal means p = 0.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.size < 2 or b.size < 2:
-        raise ContractError("each sample needs at least two observations")
-    va = a.var(ddof=1) / a.size
-    vb = b.var(ddof=1) / b.size
-    if va + vb == 0.0:
-        same = float(a.mean()) == float(b.mean())
-        return TTestResult(statistic=0.0 if same else np.inf, df=float(a.size + b.size - 2),
-                           p_value=1.0 if same else 0.0)
-    t = (a.mean() - b.mean()) / np.sqrt(va + vb)
-    df = (va + vb) ** 2 / (va ** 2 / (a.size - 1) + vb ** 2 / (b.size - 1))
-    from scipy import stats  # imported here: loading scipy.stats takes about a second
-
-    p = 2.0 * stats.t.sf(abs(t), df)
-    return TTestResult(statistic=float(t), df=float(df), p_value=float(p))
-
-
 @dataclass
 class RegressionReport:
     pearson: float
@@ -243,8 +210,7 @@ def render_table(rows: dict[str, MetricsReport], title: str = "") -> str:
     return "\n".join(lines)
 
 
-def report_to_json(report: EvalReport, config: dict, dataset_sha256: str,
-                   seeds: dict | None = None) -> str:
+def report_to_json(report: EvalReport, config: dict, dataset_sha256: str) -> str:
     """Serialize a full evaluation with its provenance for later diffing."""
     doc = {
         "config": config,
@@ -252,17 +218,8 @@ def report_to_json(report: EvalReport, config: dict, dataset_sha256: str,
         "overall": report.overall.to_dict(),
         "by_genre": {k: v.to_dict() for k, v in report.by_genre.items()},
         "by_pos": {k: v.to_dict() for k, v in report.by_pos.items()},
-        "seeds": seeds or {},
         "flags": dict(report.flags),
         "skipped_genre": report.skipped_genre,
     }
     return json.dumps(doc, indent=2, sort_keys=True)
 
-
-def seed_summary(f1_values: list[float]) -> dict:
-    """Mean and sample standard deviation across per-seed F1 scores."""
-    if not f1_values:
-        raise ContractError("need at least one seed result")
-    arr = np.asarray(f1_values, dtype=np.float64)
-    sd = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
-    return {"per_seed_f1": [float(v) for v in arr], "mean_f1": float(arr.mean()), "std_f1": sd}

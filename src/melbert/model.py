@@ -43,6 +43,7 @@ from .inputs import (
 )
 from .params import Draw, Take
 from .rng import Rng
+from .settings import Settings
 
 
 class Variant(str, Enum):
@@ -63,7 +64,7 @@ class Variant(str, Enum):
 
 
 @dataclass(frozen=True)
-class ModelConfig:
+class ModelConfig(Settings):
     encoder: EncoderConfig
     variant: Variant = Variant.MELBERT
     head_dim: Optional[int] = None      # None: same as encoder width
@@ -82,27 +83,6 @@ class ModelConfig:
     @property
     def resolved_head_dim(self) -> int:
         return self.head_dim if self.head_dim is not None else self.encoder.hidden_dim
-
-    def to_dict(self) -> dict:
-        return {
-            "encoder": self.encoder.to_dict(),
-            "variant": self.variant.value,
-            "head_dim": self.head_dim,
-            "threshold": self.threshold,
-            "target_pooling": self.target_pooling,
-            "max_len": self.max_len,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(
-            encoder=EncoderConfig.from_dict(d["encoder"]),
-            variant=Variant.parse(d["variant"]),
-            head_dim=d["head_dim"],
-            threshold=d["threshold"],
-            target_pooling=d["target_pooling"],
-            max_len=d["max_len"],
-        )
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,5 @@
 """Training loop: Adam with warmup/decay, per-epoch checkpoints that
-resume bit-exactly, multi-seed orchestration, and bagged k-fold CV.
+resume bit-exactly, and bagged k-fold CV.
 
 A training batch is scored by one ``score_batch`` call under one tape:
 its sentences are packed into one encoder pass and, for the
@@ -15,7 +15,7 @@ to an uninterrupted one.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -25,26 +25,28 @@ from .autodiff import Tape
 from .bpe import Vocab
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import Instance, kfold_split
-from .encoder import EncoderConfig
 from .errors import ConfigError, ContractError, FormatError, TrainingDivergedError
 from .heads import bce_loss, mse_loss
 from .model import MetaphorModel, ModelConfig, Prediction
 from .rng import Rng
+from .settings import Settings, check_keys
+
+
+# Adam's moment decay rates and denominator guard
+BETA1 = 0.9
+BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass(frozen=True)
-class TrainConfig:
+class TrainConfig(Settings):
     epochs: int = 3
     batch_size: int = 32
     peak_lr: float = 3e-4
     warmup_fraction: float = 2.0 / 3.0
     pos_weight: float = 1.0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     grad_clip: Optional[float] = None
     objective: str = "bce"  # or "mse" for graded labels
-    seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
@@ -57,17 +59,6 @@ class TrainConfig:
             raise ConfigError(f"objective must be bce or mse, got {self.objective!r}")
         if self.grad_clip is not None and self.grad_clip <= 0:
             raise ConfigError("grad_clip must be positive when set")
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["seeds"] = list(self.seeds)
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        d = dict(d)
-        d["seeds"] = tuple(d["seeds"])
-        return cls(**d)
 
 
 def lr_at(step: int, total_steps: int, cfg: TrainConfig) -> float:
@@ -121,18 +112,18 @@ def clip_gradients(params, max_norm: float) -> float:
                 t.grad = t.grad * scale
     return norm
 
-def adam_step(params, state: AdamState, lr: float, cfg: TrainConfig) -> None:
+def adam_step(params, state: AdamState, lr: float) -> None:
     """One update; a missing gradient counts as zeros (moments still decay)."""
     state.t += 1
-    bc1 = 1.0 - cfg.beta1 ** state.t
-    bc2 = 1.0 - cfg.beta2 ** state.t
+    bc1 = 1.0 - BETA1 ** state.t
+    bc2 = 1.0 - BETA2 ** state.t
     for name, tensor in params.items():
         g = tensor.grad if tensor.grad is not None else np.zeros_like(tensor.data)
-        state.m[name] = cfg.beta1 * state.m[name] + (1.0 - cfg.beta1) * g
-        state.v[name] = cfg.beta2 * state.v[name] + (1.0 - cfg.beta2) * (g * g)
+        state.m[name] = BETA1 * state.m[name] + (1.0 - BETA1) * g
+        state.v[name] = BETA2 * state.v[name] + (1.0 - BETA2) * (g * g)
         m_hat = state.m[name] / bc1
         v_hat = state.v[name] / bc2
-        tensor.data = tensor.data - lr * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+        tensor.data = tensor.data - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 @dataclass
@@ -184,43 +175,30 @@ def save_model_checkpoint(path, model: MetaphorModel) -> None:
     save_checkpoint(path, {"kind": "model", "model": model.cfg.to_dict()}, _live_arrays(model))
 
 
-# the keys of each checkpoint kind's metadata, as its save function writes them
+# the top-level keys of each checkpoint kind's metadata, as its save function writes them
 _META_KEYS = {
     "model": ("kind", "model"),
     "train": ("kind", "model", "train", "seed", "epoch", "global_step", "adam_t", "rng_state", "loss_curve"),
 }
 
 
-def _check_keys(d, keys, where: str) -> None:
-    if not isinstance(d, dict):
-        raise FormatError(f"checkpoint metadata: {where} is not an object")
-    for key in keys:
-        if key not in d:
-            raise FormatError(f"checkpoint metadata: {where} has no key {key!r}")
-    unknown = sorted(set(d) - set(keys))
-    if unknown:
-        raise FormatError(f"checkpoint metadata: {where} has unknown key {unknown[0]!r}")
-
-
 def _read_meta(meta) -> tuple[ModelConfig, Optional[TrainConfig]]:
     """The model and, for a training checkpoint, the training config that a
     checkpoint's metadata declares, with every key checked.
 
-    A missing or unknown key, or a value the config classes reject, is a
-    ``FormatError``: the file is at fault, not the caller's settings.
+    A missing or unknown key, a wrongly typed value, or a value the config
+    classes reject, is a ``FormatError``: the file is at fault, not the
+    caller's settings.
     """
     if not isinstance(meta, dict) or "kind" not in meta:
         raise FormatError("checkpoint metadata: the top level has no key 'kind'")
     kind = meta["kind"]
     if kind not in _META_KEYS:
         raise ContractError(f"checkpoint kind {kind!r} is not loadable as a model")
-    _check_keys(meta, _META_KEYS[kind], "the top level")
-    _check_keys(meta["model"], [f.name for f in fields(ModelConfig)], "'model'")
-    _check_keys(meta["model"]["encoder"], [f.name for f in fields(EncoderConfig)], "'model.encoder'")
-    if kind == "train":
-        _check_keys(meta["train"], [f.name for f in fields(TrainConfig)], "'train'")
     try:
-        return ModelConfig.from_dict(meta["model"]), TrainConfig.from_dict(meta["train"]) if kind == "train" else None
+        check_keys(meta, _META_KEYS[kind], "")
+        model_cfg = ModelConfig.from_dict(meta["model"], "model")
+        return model_cfg, TrainConfig.from_dict(meta["train"], "train") if kind == "train" else None
     except ConfigError as e:
         raise FormatError(f"checkpoint metadata: {e}") from e
 
@@ -280,20 +258,18 @@ def train_single(
     seed: int,
     log_fh=None,
     checkpoint_path=None,
-    checkpoint_every_epoch: bool = False,
     resume_from=None,
-    stop_after_epoch: Optional[int] = None,
     after_epoch: Optional[Callable[[int, MetaphorModel, list[float]], bool]] = None,
 ) -> TrainResult:
     """Train one model from one seed; optionally resume a saved run.
 
     Resuming restores parameters, optimizer moments, step counters, and
     the training RNG state, then continues to cfg.epochs; the result is
-    bit-identical to never having stopped. stop_after_epoch ends the run
-    early at that epoch boundary (the schedule still spans cfg.epochs),
-    which stands in for an interrupted job. after_epoch, when given, is
-    called with (epoch, model, loss_curve) at each boundary and may
-    return True to stop early (e.g. a validation-F1 target was hit).
+    bit-identical to never having stopped. A ``checkpoint_path`` receives
+    a training checkpoint at every epoch boundary. after_epoch, when
+    given, is called with (epoch, model, loss_curve) at each boundary and
+    may return True to stop early (e.g. a validation-F1 target was hit);
+    the schedule still spans cfg.epochs.
     """
     if not dataset:
         raise ContractError("cannot train on an empty dataset")
@@ -347,7 +323,7 @@ def train_single(
                 clip_gradients(model.parameters(), cfg.grad_clip)
             global_step += 1
             lr = lr_at(global_step, total_steps, cfg)
-            adam_step(model.parameters(), adam, lr, cfg)
+            adam_step(model.parameters(), adam, lr)
             model.mark_updated()
             epoch_losses.append(loss_value)
             if log_fh is not None:
@@ -356,21 +332,14 @@ def train_single(
                     "lr": lr, "loss": loss_value,
                 }, sort_keys=True) + "\n")
         loss_curve.append(float(np.mean(epoch_losses)))
-        if checkpoint_path is not None and (checkpoint_every_epoch or epoch == cfg.epochs - 1):
+        if checkpoint_path is not None:
             save_train_checkpoint(
                 checkpoint_path, model, cfg, adam, train_rng,
                 seed, epoch + 1, global_step, loss_curve,
             )
-        if stop_after_epoch is not None and epoch + 1 >= stop_after_epoch:
-            break
         if after_epoch is not None and after_epoch(epoch, model, loss_curve):
             break
     return TrainResult(model=model, seed=seed, loss_curve=loss_curve, global_step=global_step)
-
-
-def train(model_cfg: ModelConfig, vocab: Vocab, dataset, cfg: TrainConfig, log_fh=None) -> list[TrainResult]:
-    """One training run per configured seed."""
-    return [train_single(model_cfg, vocab, dataset, cfg, seed, log_fh=log_fh) for seed in cfg.seeds]
 
 
 class CvEnsemble:

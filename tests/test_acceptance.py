@@ -143,7 +143,7 @@ def test_criterion_03_synthetic_learnability():
                                 hidden_dim=64, ffn_dim=256, dropout=0.0, init_std=0.1)
             cfg = ModelConfig(encoder=enc, variant=variant)
             tc = TrainConfig(epochs=20, batch_size=8, peak_lr=1e-3,
-                             warmup_fraction=1 / 6, grad_clip=1.0, seeds=(0,))
+                             warmup_fraction=1 / 6, grad_clip=1.0)
             curve = []
 
             def stop_when_solved(epoch, model, losses):
@@ -277,7 +277,7 @@ def test_criterion_08_determinism_and_resume(tmp_path):
         enc = EncoderConfig(vocab_size=len(SMALL_VOCAB), num_layers=1, num_heads=2,
                             hidden_dim=16, ffn_dim=32, dropout=0.2)
         cfg = ModelConfig(encoder=enc)
-        tc = TrainConfig(epochs=4, batch_size=8, seeds=(0,))
+        tc = TrainConfig(epochs=4, batch_size=8)
 
         a = train_single(cfg, SMALL_VOCAB, SMALL_CORPUS, tc, seed=9)
         b = train_single(cfg, SMALL_VOCAB, SMALL_CORPUS, tc, seed=9)
@@ -287,8 +287,7 @@ def test_criterion_08_determinism_and_resume(tmp_path):
 
         ckpt = tmp_path / "interrupted.ckpt"
         train_single(cfg, SMALL_VOCAB, SMALL_CORPUS, tc, seed=9,
-                     checkpoint_path=ckpt, checkpoint_every_epoch=True,
-                     stop_after_epoch=2)
+                     checkpoint_path=ckpt, after_epoch=lambda epoch, *_: epoch + 1 >= 2)
         resumed = train_single(cfg, SMALL_VOCAB, SMALL_CORPUS, tc, seed=9,
                                resume_from=ckpt)
         assert resumed.loss_curve == a.loss_curve

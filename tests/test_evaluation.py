@@ -1,4 +1,4 @@
-"""Metric, significance, and report tests with independent oracles."""
+"""Metric, correlation, and report tests with independent oracles."""
 
 import dataclasses
 import json
@@ -17,15 +17,12 @@ from melbert.data import make_synthetic_corpus
 from melbert.errors import ContractError
 from melbert.evaluation import (
     MetricsReport,
-    TTestResult,
     breakdown,
     evaluate_model,
     regression_scores,
     render_table,
     report_to_json,
     score_predictions,
-    seed_summary,
-    welch_ttest,
     zero_shot_eval,
 )
 from melbert.model import Prediction
@@ -131,32 +128,6 @@ class TestBreakdown:
             breakdown([1], [1, 0], ["a", "b"])
 
 
-class TestWelch:
-    """Hand statistic against scipy's full implementation."""
-
-    def test_against_scipy(self):
-        rng = Rng(1, "welch")
-        for _ in range(200):
-            na = int(rng.integers(2, 30))
-            nb = int(rng.integers(2, 30))
-            a = rng.normal(na) * (0.5 + 2.5 * float(rng.uniform())) + float(rng.uniform()) - 0.5
-            b = rng.normal(nb) * (0.5 + 2.5 * float(rng.uniform()))
-            r = welch_ttest(a, b)
-            ref = stats.ttest_ind(a, b, equal_var=False)
-            assert r.statistic == pytest.approx(ref.statistic, rel=1e-10)
-            assert r.p_value == pytest.approx(ref.pvalue, rel=1e-10, abs=1e-300)
-
-    def test_zero_variance_degenerate(self):
-        same = welch_ttest([2.0, 2.0, 2.0], [2.0, 2.0])
-        assert same.p_value == 1.0 and same.statistic == 0.0
-        diff = welch_ttest([2.0, 2.0], [3.0, 3.0])
-        assert diff.p_value == 0.0 and np.isinf(diff.statistic)
-
-    def test_small_samples_rejected(self):
-        with pytest.raises(ContractError):
-            welch_ttest([1.0], [2.0, 3.0])
-
-
 class TestRegression:
     """Correlations against scipy and a hand rank oracle."""
 
@@ -223,8 +194,8 @@ class TestEvaluateModel:
 
 
 def test_import_leaves_scipy_stats_unloaded():
-    """Loading scipy.stats takes about a second; only the t-test and the
-    rank correlation need it, so importing the package must not."""
+    """Loading scipy.stats takes about a second; only the rank correlation
+    needs it, so importing the package must not."""
     src = Path(melbert.__file__).resolve().parents[1]
     code = "import sys, melbert.cli; print('scipy.stats' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
@@ -272,16 +243,7 @@ class TestRendering:
         model = ScriptedModel([int(i.gold) for i in corpus])
         report = evaluate_model(model, corpus)
         doc = json.loads(report_to_json(report, config={"variant": "melbert"},
-                                        dataset_sha256="ab" * 32,
-                                        seeds=seed_summary([0.9, 0.92])))
+                                        dataset_sha256="ab" * 32))
         assert set(doc) == {"config", "dataset_sha256", "overall", "by_genre",
-                            "by_pos", "seeds", "flags", "skipped_genre"}
+                            "by_pos", "flags", "skipped_genre"}
         assert doc["config"]["variant"] == "melbert"
-        assert doc["seeds"]["mean_f1"] == pytest.approx(0.91)
-
-    def test_seed_summary_values(self):
-        s = seed_summary([0.8, 0.9])
-        assert s["mean_f1"] == pytest.approx(0.85)
-        assert s["std_f1"] == pytest.approx(np.std([0.8, 0.9], ddof=1))
-        with pytest.raises(ContractError):
-            seed_summary([])

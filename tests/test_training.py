@@ -16,6 +16,7 @@ from melbert.errors import ConfigError, ContractError, FormatError, TrainingDive
 from melbert.model import MetaphorModel, ModelConfig, Variant
 from melbert.rng import Rng
 from melbert.training import (
+    ADAM_EPS,
     AdamState,
     CvEnsemble,
     TrainConfig,
@@ -27,7 +28,6 @@ from melbert.training import (
     lr_at,
     save_model_checkpoint,
     save_train_checkpoint,
-    train,
     train_single,
 )
 
@@ -87,24 +87,22 @@ class TestAdam:
     """Update rule against a hand-expanded step."""
 
     def test_single_step_matches_hand_formula(self):
-        cfg = TrainConfig()
         w = Tensor(np.array([2.0, -1.0]), requires_grad=True)
         w.grad = np.array([0.3, -0.5])
         params = {"w": w}
         state = AdamState.init_like(params)
-        adam_step(params, state, lr=1e-2, cfg=cfg)
+        adam_step(params, state, lr=1e-2)
 
         g = np.array([0.3, -0.5])
         m = 0.1 * g                       # (1 - beta1) * g
         v = 0.001 * g * g                 # (1 - beta2) * g^2
         m_hat = m / (1 - 0.9)
         v_hat = v / (1 - 0.999)
-        expected = np.array([2.0, -1.0]) - 1e-2 * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+        expected = np.array([2.0, -1.0]) - 1e-2 * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         np.testing.assert_allclose(w.data, expected, rtol=1e-15)
         assert state.t == 1
 
     def test_two_steps_track_bias_correction(self):
-        cfg = TrainConfig()
         w = Tensor(np.array([1.0]), requires_grad=True)
         params = {"w": w}
         state = AdamState.init_like(params)
@@ -113,31 +111,29 @@ class TestAdam:
         x = np.array([1.0])
         for t, gval in [(1, 0.4), (2, -0.2)]:
             w.grad = np.array([gval])
-            adam_step(params, state, lr=1e-3, cfg=cfg)
+            adam_step(params, state, lr=1e-3)
             g = np.array([gval])
             m = 0.9 * m + 0.1 * g
             v = 0.999 * v + 0.001 * g * g
-            x = x - 1e-3 * (m / (1 - 0.9 ** t)) / (np.sqrt(v / (1 - 0.999 ** t)) + cfg.adam_eps)
+            x = x - 1e-3 * (m / (1 - 0.9 ** t)) / (np.sqrt(v / (1 - 0.999 ** t)) + ADAM_EPS)
         np.testing.assert_allclose(w.data, x, rtol=1e-15)
 
     def test_missing_grad_on_fresh_state_changes_nothing(self):
-        cfg = TrainConfig()
         w = Tensor(np.array([[1.5, -2.5]]), requires_grad=True)
         before = w.data.copy()
         state = AdamState.init_like({"w": w})
-        adam_step({"w": w}, state, lr=1e-2, cfg=cfg)
+        adam_step({"w": w}, state, lr=1e-2)
         assert np.array_equal(w.data, before)
 
     def test_missing_grad_with_momentum_still_moves(self):
         # decayed first moment keeps pushing even when this step's grad is absent
-        cfg = TrainConfig()
         w = Tensor(np.array([1.0]), requires_grad=True)
         state = AdamState.init_like({"w": w})
         w.grad = np.array([0.5])
-        adam_step({"w": w}, state, lr=1e-2, cfg=cfg)
+        adam_step({"w": w}, state, lr=1e-2)
         after_first = w.data.copy()
         w.grad = None
-        adam_step({"w": w}, state, lr=1e-2, cfg=cfg)
+        adam_step({"w": w}, state, lr=1e-2)
         assert not np.array_equal(w.data, after_first)
 
 
@@ -172,14 +168,14 @@ class TestTrainingLoop:
     """End-to-end behavior on a small corpus."""
 
     def test_loss_decreases(self):
-        cfg = TrainConfig(epochs=4, batch_size=8, peak_lr=3e-3, seeds=(0,))
+        cfg = TrainConfig(epochs=4, batch_size=8, peak_lr=3e-3)
         res = train_single(tiny_cfg(), VOCAB, CORPUS, cfg, seed=0)
         assert len(res.loss_curve) == 4
         assert res.loss_curve[-1] < res.loss_curve[0]
         assert res.global_step == 4 * 3
 
     def test_two_runs_bitwise_identical(self):
-        cfg = TrainConfig(epochs=2, batch_size=8, seeds=(0,))
+        cfg = TrainConfig(epochs=2, batch_size=8)
         a = train_single(tiny_cfg(dropout=0.2), VOCAB, CORPUS, cfg, seed=3)
         b = train_single(tiny_cfg(dropout=0.2), VOCAB, CORPUS, cfg, seed=3)
         assert a.loss_curve == b.loss_curve
@@ -187,13 +183,13 @@ class TestTrainingLoop:
             assert np.array_equal(arr, b.model.export_arrays()[name]), name
 
     def test_seeds_differ(self):
-        cfg = TrainConfig(epochs=1, batch_size=8, seeds=(0,))
+        cfg = TrainConfig(epochs=1, batch_size=8)
         a = train_single(tiny_cfg(), VOCAB, CORPUS, cfg, seed=0)
         b = train_single(tiny_cfg(), VOCAB, CORPUS, cfg, seed=1)
         assert a.loss_curve != b.loss_curve
 
     def test_log_lines(self):
-        cfg = TrainConfig(epochs=2, batch_size=8, seeds=(0,))
+        cfg = TrainConfig(epochs=2, batch_size=8)
         buf = io.StringIO()
         train_single(tiny_cfg(), VOCAB, CORPUS, cfg, seed=0, log_fh=buf)
         lines = [json.loads(l) for l in buf.getvalue().splitlines()]
@@ -202,7 +198,7 @@ class TestTrainingLoop:
         assert set(lines[0]) == {"seed", "epoch", "step", "lr", "loss"}
 
     def test_divergence_aborts_with_diagnostics(self):
-        cfg = TrainConfig(epochs=2, batch_size=8, peak_lr=1e150, seeds=(0,))
+        cfg = TrainConfig(epochs=2, batch_size=8, peak_lr=1e150)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(TrainingDivergedError, match="epoch"):
                 train_single(tiny_cfg(), VOCAB, CORPUS, cfg, seed=0)
@@ -211,20 +207,12 @@ class TestTrainingLoop:
         with pytest.raises(ContractError):
             train_single(tiny_cfg(), VOCAB, [], TrainConfig(), seed=0)
 
-    def test_multi_seed_wrapper(self):
-        cfg = TrainConfig(epochs=1, batch_size=8, seeds=(0, 1))
-        results = train(tiny_cfg(), VOCAB, CORPUS, cfg)
-        assert [r.seed for r in results] == [0, 1]
-        a = results[0].model.export_arrays()["head.w"]
-        b = results[1].model.export_arrays()["head.w"]
-        assert not np.array_equal(a, b)
-
     def test_mse_objective_runs(self):
         graded = make_synthetic_corpus(11, 16, regression=True)
         vocab = train_bpe((" ".join(i.tokens) for i in graded), 220)
         enc = EncoderConfig(vocab_size=len(vocab), num_layers=1, num_heads=2,
                             hidden_dim=16, ffn_dim=32, dropout=0.0)
-        cfg = TrainConfig(epochs=2, batch_size=8, objective="mse", seeds=(0,))
+        cfg = TrainConfig(epochs=2, batch_size=8, objective="mse")
         res = train_single(ModelConfig(encoder=enc), vocab, graded, cfg, seed=0)
         assert all(np.isfinite(v) for v in res.loss_curve)
 
@@ -232,13 +220,12 @@ class TestTrainingLoop:
 class TestResume:
     """Interrupted and restarted equals never interrupted, byte for byte."""
 
-    CFG = TrainConfig(epochs=4, batch_size=8, seeds=(0,))
+    CFG = TrainConfig(epochs=4, batch_size=8)
 
     def test_resume_is_bitwise_identical(self, tmp_path):
         ckpt = tmp_path / "half.ckpt"
         train_single(tiny_cfg(dropout=0.2), VOCAB, CORPUS, self.CFG, seed=5,
-                     checkpoint_path=ckpt, checkpoint_every_epoch=True,
-                     stop_after_epoch=2)
+                     checkpoint_path=ckpt, after_epoch=lambda epoch, *_: epoch + 1 >= 2)
         resumed = train_single(tiny_cfg(dropout=0.2), VOCAB, CORPUS, self.CFG,
                                seed=5, resume_from=ckpt)
         straight = train_single(tiny_cfg(dropout=0.2), VOCAB, CORPUS, self.CFG, seed=5)
@@ -251,17 +238,15 @@ class TestResume:
     def test_resume_rejects_other_config(self, tmp_path):
         ckpt = tmp_path / "half.ckpt"
         train_single(tiny_cfg(), VOCAB, CORPUS, self.CFG, seed=0,
-                     checkpoint_path=ckpt, checkpoint_every_epoch=True,
-                     stop_after_epoch=1)
-        other = TrainConfig(epochs=5, batch_size=8, seeds=(0,))
+                     checkpoint_path=ckpt, after_epoch=lambda epoch, *_: epoch + 1 >= 1)
+        other = TrainConfig(epochs=5, batch_size=8)
         with pytest.raises(ContractError, match="configuration"):
             train_single(tiny_cfg(), VOCAB, CORPUS, other, seed=0, resume_from=ckpt)
 
     def test_resume_rejects_other_seed(self, tmp_path):
         ckpt = tmp_path / "half.ckpt"
         train_single(tiny_cfg(), VOCAB, CORPUS, self.CFG, seed=0,
-                     checkpoint_path=ckpt, checkpoint_every_epoch=True,
-                     stop_after_epoch=1)
+                     checkpoint_path=ckpt, after_epoch=lambda epoch, *_: epoch + 1 >= 1)
         with pytest.raises(ContractError, match="seed"):
             train_single(tiny_cfg(), VOCAB, CORPUS, self.CFG, seed=1, resume_from=ckpt)
 
@@ -277,7 +262,7 @@ class TestModelCheckpoint:
     """Inference checkpoints restore scoring exactly."""
 
     def test_round_trip_scores(self, tmp_path):
-        cfg = TrainConfig(epochs=1, batch_size=8, seeds=(0,))
+        cfg = TrainConfig(epochs=1, batch_size=8)
         res = train_single(tiny_cfg(), VOCAB, CORPUS, cfg, seed=0)
         path = tmp_path / "m.ckpt"
         save_model_checkpoint(path, res.model)
@@ -287,7 +272,7 @@ class TestModelCheckpoint:
 
     def test_train_checkpoint_loads_as_model(self, tmp_path):
         ckpt = tmp_path / "t.ckpt"
-        cfg = TrainConfig(epochs=1, batch_size=8, seeds=(0,))
+        cfg = TrainConfig(epochs=1, batch_size=8)
         res = train_single(tiny_cfg(), VOCAB, CORPUS, cfg, seed=0, checkpoint_path=ckpt)
         loaded = load_model(ckpt, VOCAB)
         inst = CORPUS[0]
@@ -318,7 +303,7 @@ def rewrite(src, dst, edit=None, edit_meta=None):
 class TestLoader:
     """Loading builds the model from the checkpoint alone and checks every block."""
 
-    CFG = TrainConfig(epochs=2, batch_size=8, seeds=(0,))
+    CFG = TrainConfig(epochs=2, batch_size=8)
 
     # SHA-256 over sorted (name, bytes) of a seed-0 tiny model; pins the init draw order
     INIT_SHA256 = {
@@ -333,7 +318,7 @@ class TestLoader:
     def train_ckpt(self, tmp_path_factory):
         path = tmp_path_factory.mktemp("loader") / "half.ckpt"
         train_single(tiny_cfg(), VOCAB, CORPUS, self.CFG, seed=0,
-                     checkpoint_path=path, checkpoint_every_epoch=True, stop_after_epoch=1)
+                     checkpoint_path=path, after_epoch=lambda epoch, *_: epoch + 1 >= 1)
         return path
 
     def resume(self, path):
@@ -410,7 +395,7 @@ class TestLoader:
 class TestMetadata:
     """Checkpoint metadata is read in one checked step; a bad file is a FormatError."""
 
-    CFG = TrainConfig(epochs=2, batch_size=8, seeds=(0,))
+    CFG = TrainConfig(epochs=2, batch_size=8)
     TRAIN_KEYS = ("model", "train", "seed", "epoch", "global_step", "adam_t", "rng_state", "loss_curve")
 
     @pytest.fixture(scope="class")
@@ -477,7 +462,7 @@ class TestBagging:
         assert ens.predict(CORPUS[0]).label == int(single >= 0.5)
 
     def test_fold_training(self):
-        cfg = TrainConfig(epochs=1, batch_size=8, seeds=(0,))
+        cfg = TrainConfig(epochs=1, batch_size=8)
         ens, results = bagging_cv_train(tiny_cfg(), VOCAB, CORPUS, k=2, cfg=cfg, seed=10)
         assert len(ens.models) == 2 and [r.seed for r in results] == [10, 11]
         a = results[0].model.export_arrays()["head.w"]
