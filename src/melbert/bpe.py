@@ -5,9 +5,12 @@ frequent adjacent symbol pair until the vocabulary budget is spent or no
 pair occurs at least twice. Words keep their boundaries: a sentence is
 whitespace-split first and every non-initial word gets the word-start
 sentinel "▁" prepended as its own symbol, so merges can absorb the
-sentinel but never jump across words. Encoding replays the learned merge
-list in order (greedy, left to right inside each word), which makes
-encoding a pure function of the saved vocabulary file.
+sentinel but never jump across words. Encoding gives what replaying the
+learned merge list in order would (greedy, left to right inside each
+word), which makes encoding a pure function of the saved vocabulary
+file. A merge that matches no adjacent pair of the word changes nothing,
+so the encoder skips to the next one that does: each step applies the
+lowest-ranked merge after the last one applied among the word's pairs.
 
 As in the reference learner of Sennrich, Haddow and Birch (2016), pair
 counts are kept across merges together with an index from each pair to
@@ -73,12 +76,16 @@ class Vocab:
     pos_tags: tuple[str, ...]
     id_to_token: dict[int, str] = field(init=False, repr=False)
     _word_cache: dict[tuple[str, bool], list[int]] = field(init=False, repr=False)
+    _ranks: dict[tuple[str, str], list[int]] = field(init=False, repr=False)
 
     def __post_init__(self):
         self.id_to_token = {i: t for t, i in self.token_to_id.items()}
         if len(self.id_to_token) != len(self.token_to_id):
             raise FormatError("vocabulary ids are not a bijection")
         self._word_cache = {}
+        self._ranks = {}  # each merge pair's positions in the merge list; a pair may recur
+        for rank, pair in enumerate(self.merges):
+            self._ranks.setdefault(pair, []).append(rank)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Vocab):
@@ -102,9 +109,17 @@ class Vocab:
         if hit is not None:
             return hit
         seq = _word_symbols(word, initial)
-        for left, right in self.merges:
-            if left in seq:
-                seq = _apply_merge(seq, left, right, left + right)
+        last = -1
+        while len(seq) > 1:
+            # the merge the ordered replay would apply next: the lowest rank
+            # after the last one applied among the word's adjacent pairs
+            best = min((r for pair in zip(seq, seq[1:]) for r in self._ranks.get(pair, ()) if r > last),
+                       default=None)
+            if best is None:
+                break
+            left, right = self.merges[best]
+            seq = _apply_merge(seq, left, right, left + right)
+            last = best
         ids = [self.token_to_id.get(sym, UNK_ID) for sym in seq]
         self._word_cache[key] = ids
         return ids

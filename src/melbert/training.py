@@ -15,6 +15,7 @@ to an uninterrupted one.
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -23,7 +24,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tape
 from .bpe import Vocab
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import open_checkpoint, save_checkpoint
 from .data import Instance, kfold_split
 from .errors import ConfigError, ContractError, FormatError, TrainingDivergedError
 from .heads import bce_loss, mse_loss
@@ -182,45 +183,80 @@ _META_KEYS = {
 }
 
 
-def _read_meta(meta) -> tuple[ModelConfig, Optional[TrainConfig]]:
-    """The model and, for a training checkpoint, the training config that a
-    checkpoint's metadata declares, with every key checked.
+def _read_meta(meta) -> ModelConfig:
+    """The model config a checkpoint's metadata declares.
 
-    A missing or unknown key, a wrongly typed value, or a value the config
-    classes reject, is a ``FormatError``: the file is at fault, not the
-    caller's settings.
+    This checks ``kind``, the top-level keys of that kind and the
+    ``model`` section, which is all a model load reads. A missing or
+    unknown key, a wrongly typed value, or a value the config classes
+    reject, is a ``FormatError``: the file is at fault, not the caller's
+    settings.
     """
     if not isinstance(meta, dict) or "kind" not in meta:
         raise FormatError("checkpoint metadata: the top level has no key 'kind'")
     kind = meta["kind"]
+    if not isinstance(kind, str):
+        raise FormatError(f"checkpoint metadata: 'kind' must be str, got {kind!r}")
     if kind not in _META_KEYS:
         raise ContractError(f"checkpoint kind {kind!r} is not loadable as a model")
     try:
         check_keys(meta, _META_KEYS[kind], "")
-        model_cfg = ModelConfig.from_dict(meta["model"], "model")
-        return model_cfg, TrainConfig.from_dict(meta["train"], "train") if kind == "train" else None
+        return ModelConfig.from_dict(meta["model"], "model")
     except ConfigError as e:
         raise FormatError(f"checkpoint metadata: {e}") from e
 
 
-def _restore(
-    cfg: ModelConfig, meta: dict, arrays: dict[str, np.ndarray], vocab: Vocab
-) -> tuple[MetaphorModel, Optional[AdamState]]:
-    """The parameter loader: the model a checkpoint holds and, for a
-    training checkpoint, its Adam moments (``None`` for a model checkpoint).
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
-    ``cfg`` and ``meta`` come from ``_read_meta``. Parameters are copied
-    straight from the arrays; nothing is drawn. Each parameter needs an
-    ``adam.m.`` and an ``adam.v.`` block of its own shape in a training
-    checkpoint and none in a model checkpoint; any other block is an error.
+
+def _read_run_state(meta) -> TrainConfig:
+    """The training config of a training checkpoint's metadata, which
+    ``_read_meta`` has read, with each top-level value a resume uses
+    type-checked; a bad one is a ``FormatError`` naming its key."""
+    try:
+        cfg = TrainConfig.from_dict(meta["train"], "train")
+    except ConfigError as e:
+        raise FormatError(f"checkpoint metadata: {e}") from e
+    if not _is_int(meta["seed"]):
+        raise FormatError(f"checkpoint metadata: 'seed' must be int, got {meta['seed']!r}")
+    for key in ("epoch", "global_step", "adam_t"):
+        if not (_is_int(meta[key]) and meta[key] >= 0):
+            raise FormatError(f"checkpoint metadata: {key!r} must be a non-negative int, got {meta[key]!r}")
+    curve = meta["loss_curve"]
+    bad = [x for x in curve if not (_is_int(x) or isinstance(x, float))] if isinstance(curve, list) else [curve]
+    if bad:
+        raise FormatError(f"checkpoint metadata: 'loss_curve' must be a list of numbers, got {bad[0]!r}")
+    if not isinstance(meta["rng_state"], dict):
+        raise FormatError(f"checkpoint metadata: 'rng_state' must be an object, got {meta['rng_state']!r}")
+    return cfg
+
+
+def _restore(cfg: ModelConfig, meta: dict, blocks: Mapping[str, np.ndarray], vocab: Vocab) -> MetaphorModel:
+    """The parameter loader: the model a checkpoint holds.
+
+    ``cfg`` and ``meta`` come from ``_read_meta``; ``blocks`` from
+    ``open_checkpoint``. Each parameter is copied once from its block;
+    nothing is drawn. Only the names of the ``adam.`` blocks are read: a
+    model checkpoint may hold none, and a training checkpoint's are left
+    to ``_restore_adam``.
     """
-    params = {k: v for k, v in arrays.items() if not k.startswith("adam.")}
+    params = {k: blocks[k] for k in blocks if not k.startswith("adam.")}
     model = MetaphorModel.from_arrays(cfg, vocab, params)
-    moments = {k: v for k, v in arrays.items() if k.startswith("adam.")}
     if meta["kind"] == "model":
+        moments = [k for k in blocks if k.startswith("adam.")]
         if moments:
             raise ContractError(f"model checkpoint has optimizer block {min(moments)!r}")
-        return model, None
+    return model
+
+
+def _restore_adam(model: MetaphorModel, meta: dict, blocks: Mapping[str, np.ndarray]) -> AdamState:
+    """The Adam moments of a training checkpoint, each copied from its block.
+
+    Each parameter needs an ``adam.m.`` and an ``adam.v.`` block of its
+    own shape; any other ``adam.`` block is an error.
+    """
+    moments = {k for k in blocks if k.startswith("adam.")}
     m: dict[str, np.ndarray] = {}
     v: dict[str, np.ndarray] = {}
     for name, tensor in model.parameters().items():
@@ -228,26 +264,27 @@ def _restore(
             block = f"adam.{key}.{name}"
             if block not in moments:
                 raise ContractError(f"training checkpoint is missing optimizer block {block!r}")
-            arr = moments.pop(block)
+            moments.remove(block)
+            arr = blocks[block]
             if arr.shape != tensor.shape:
                 raise ContractError(f"optimizer block {block!r} shape {arr.shape} != parameter shape {tensor.shape}")
-            into[name] = arr
+            into[name] = np.array(arr, dtype=np.float64)
     if moments:
         raise ContractError(f"training checkpoint has unknown optimizer block {min(moments)!r}")
-    return model, AdamState(m, v, t=meta["adam_t"])
+    return AdamState(m, v, t=meta["adam_t"])
 
 
 def load_model(path, vocab: Vocab) -> MetaphorModel:
     """The model saved at ``path``, from a model or a training checkpoint.
 
-    The file is read once and every block is checked: each parameter must
-    be present with its declared shape, a training checkpoint must hold
-    both Adam moments of each parameter, and any other block is a
-    ``ContractError``. Each parameter is copied once from the file; no
-    init is drawn.
+    The file is mapped, not read: only the blocks of the model's own
+    parameters are made into arrays, each checked for its declared shape
+    and copied once, and no init is drawn. Any other parameter block is a
+    ``ContractError``, as is an ``adam.`` block in a model checkpoint; a
+    training checkpoint's moments and its ``train`` section are not read.
     """
-    meta, arrays = load_checkpoint(path)
-    return _restore(_read_meta(meta)[0], meta, arrays, vocab)[0]
+    with open_checkpoint(path) as (meta, blocks):
+        return _restore(_read_meta(meta), meta, blocks, vocab)
 
 
 def train_single(
@@ -281,15 +318,17 @@ def train_single(
         global_step = 0
         loss_curve: list[float] = []
     else:
-        meta, arrays = load_checkpoint(resume_from)
-        saved_model_cfg, saved_cfg = _read_meta(meta)
-        if saved_cfg is None:
-            raise ContractError("resume checkpoint must be a training checkpoint")
-        if saved_model_cfg != model_cfg or saved_cfg != cfg:
-            raise ContractError("resume checkpoint was written under a different configuration")
-        if meta["seed"] != seed:
-            raise ContractError(f"resume checkpoint is for seed {meta['seed']}, not {seed}")
-        model, adam = _restore(saved_model_cfg, meta, arrays, vocab)
+        with open_checkpoint(resume_from) as (meta, blocks):
+            saved_model_cfg = _read_meta(meta)
+            if meta["kind"] != "train":
+                raise ContractError("resume checkpoint must be a training checkpoint")
+            saved_cfg = _read_run_state(meta)
+            if saved_model_cfg != model_cfg or saved_cfg != cfg:
+                raise ContractError("resume checkpoint was written under a different configuration")
+            if meta["seed"] != seed:
+                raise ContractError(f"resume checkpoint is for seed {meta['seed']}, not {seed}")
+            model = _restore(saved_model_cfg, meta, blocks, vocab)
+            adam = _restore_adam(model, meta, blocks)
         train_rng.set_state(meta["rng_state"])
         start_epoch = meta["epoch"]
         global_step = meta["global_step"]

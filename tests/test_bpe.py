@@ -227,6 +227,71 @@ class TestIncrementalCounts:
             self.assert_same(lines, floor + int(rng.integers(0, 30)), tmp_path)
 
 
+def replay_encode_word(vocab: Vocab, word: str, initial: bool) -> list[int]:
+    """Reference encoder: replays the whole merge list in order.
+    ``Vocab.encode_word`` must give the same ids."""
+    seq = _word_symbols(word, initial)
+    for left, right in vocab.merges:
+        if left in seq:
+            seq = _apply_merge(seq, left, right, left + right)
+    return [vocab.token_to_id.get(sym, UNK_ID) for sym in seq]
+
+
+class TestRankedEncoding:
+    """``encode_word`` applies merges by rank; its ids must equal the
+    ordered replay's for every word, seen in training or not."""
+
+    @staticmethod
+    def assert_same(vocab, words):
+        words = sorted(set(words))
+        assert words
+        for word in words:
+            for initial in (True, False):
+                assert vocab.encode_word(word, initial) == replay_encode_word(vocab, word, initial), (word, initial)
+
+    def test_synthetic_words(self):
+        vocab = train_bpe((" ".join(i.tokens) for i in make_synthetic_corpus(3, 400)), 400)
+        held = [" ".join(i.tokens) for i in make_synthetic_corpus(5, 200)]
+        self.assert_same(vocab, [w for line in held for w in line.split()] + ["cats", "xyzzy", MARKER + "the"])
+
+    def test_pseudo_words(self):
+        vocab = train_bpe(_pseudo_word_corpus(8, 500), 800)
+        assert len(vocab.merges) > 300
+        held = _pseudo_word_corpus(11, 300)  # other made-up words, most never seen in training
+        self.assert_same(vocab, [w for line in held for w in line.split()])
+
+    @pytest.mark.parametrize("merges, word, pieces", [
+        # rank 0 has passed when rank 1 makes "ab", so ("ab", "c") never applies
+        ([("ab", "c"), ("a", "b")], "abc", ["ab", "c"]),
+        # a repeated pair: its entry at rank 2 applies once rank 1 has made "ab"
+        ([("ab", "c"), ("a", "b"), ("ab", "c")], "abcab", ["abc", "ab"]),
+    ], ids=["earlier-rank-passed", "repeated-pair"])
+    def test_crafted_merge_lists(self, merges, word, pieces):
+        tokens = list(RESERVED) + ["a", "b", "c", "ab", "abc"]
+        vocab = Vocab({t: i for i, t in enumerate(tokens)}, merges, ())
+        assert [vocab.id_to_token[i] for i in vocab.encode_word(word, True)] == pieces
+        self.assert_same(vocab, [word, "abcabc", "cab", "a"])
+
+    def test_random_merge_lists(self):
+        # merge lists no trainer would write: repeated pairs, shuffled ranks
+        rng = np.random.default_rng(7)
+        for _ in range(40):
+            tokens = list(RESERVED) + ["a", "b", "c", MARKER]
+            merges = []
+            for _ in range(int(rng.integers(1, 25))):
+                if merges and rng.random() < 0.2:
+                    merges.append(merges[int(rng.integers(len(merges)))])
+                    continue
+                left, right = (tokens[int(rng.integers(len(RESERVED), len(tokens)))] for _ in range(2))
+                merges.append((left, right))
+                if left + right not in tokens:
+                    tokens.append(left + right)
+            if rng.random() < 0.5:  # a merge may then come before the one making its parts
+                merges = [merges[i] for i in rng.permutation(len(merges))]
+            vocab = Vocab({t: i for i, t in enumerate(tokens)}, merges, ())
+            self.assert_same(vocab, ["".join(rng.choice(list("abc"), size=int(rng.integers(1, 12)))) for _ in range(30)])
+
+
 class TestEncodeDecode:
     """Round trips and unknown-symbol handling."""
 

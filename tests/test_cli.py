@@ -253,6 +253,20 @@ class TestPredict:
         assert code == 1
         assert err == f"error: checkpoint metadata: {dotted!r} must be {expected}, got {value!r}\n"
 
+    def test_checkpoint_kind_of_wrong_type_is_one_error_line(self, workdir, tmp_path, capsys):
+        code, err = self.predict_with_meta(workdir, tmp_path, capsys, lambda meta: meta.update(kind=[]))
+        assert code == 1
+        assert err == "error: checkpoint metadata: 'kind' must be str, got []\n"
+
+    def test_empty_checkpoint_is_one_error_line(self, workdir, tmp_path, capsys):
+        (tmp_path / "empty.ckpt").write_bytes(b"")
+        code = run(workdir, "predict", "--vocab", workdir / "vocab.txt",
+                   "--checkpoint", tmp_path / "empty.ckpt",
+                   "--sentence", "the river devours the shore", "--target-index", "2")
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: bad checkpoint header") and err.count("\n") == 1
+
     def test_index_out_of_range(self, workdir, capsys):
         code = run(workdir, "predict", "--vocab", workdir / "vocab.txt",
                    "--checkpoint", workdir / "model.ckpt",

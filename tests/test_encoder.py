@@ -8,7 +8,7 @@ from fdcheck import check_grads
 from melbert import autodiff as ad
 from melbert.autodiff import Tape, Tensor
 from melbert.bpe import train_bpe
-from melbert.checkpoint import load_checkpoint, save_checkpoint
+from melbert.checkpoint import MAGIC, load_checkpoint, open_checkpoint, save_checkpoint
 from melbert.data import Instance
 from melbert.encoder import Encoder, EncoderConfig, pool_span
 from melbert.errors import ConfigError, ContractError, FormatError, VocabError
@@ -310,6 +310,45 @@ class TestCheckpointFile:
         path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(FormatError):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("cut", [
+        lambda blob: b"",
+        lambda blob: MAGIC,
+        lambda blob: blob[: len(MAGIC) + 5],
+        lambda blob: blob[: blob.index(b"param w") + 9],
+    ], ids=["empty", "magic-only", "inside-json", "inside-block-header"])
+    def test_cut_short_file_rejected(self, tmp_path, cut):
+        path = tmp_path / "ck.bin"
+        save_checkpoint(path, {"v": 1}, {"w": np.ones((2, 3))})
+        path.write_bytes(cut(path.read_bytes()))
+        with pytest.raises(FormatError):
+            load_checkpoint(path)
+
+    def test_loaded_arrays_are_own_copies(self, tmp_path):
+        path = tmp_path / "ck.bin"
+        save_checkpoint(path, {}, {"w": np.arange(4.0)})
+        _, arrays = load_checkpoint(path)
+        path.write_bytes(b"")
+        arrays["w"] += 1.0
+        assert arrays["w"].tolist() == [1.0, 2.0, 3.0, 4.0]
+
+    def test_view_kept_past_the_block_is_an_error(self, tmp_path):
+        path = tmp_path / "ck.bin"
+        save_checkpoint(path, {}, {"w": np.arange(4.0)})
+        with pytest.raises(BufferError):
+            with open_checkpoint(path) as (_, blocks):
+                kept = blocks["w"]
+        assert kept.tolist() == [0.0, 1.0, 2.0, 3.0]
+
+    def test_blocks_are_read_only_views(self, tmp_path):
+        path = tmp_path / "ck.bin"
+        save_checkpoint(path, {}, {"a": np.zeros((0, 3)), "w": np.arange(6.0).reshape(2, 3)})
+        with open_checkpoint(path) as (_, blocks):
+            assert list(blocks) == ["a", "w"] and len(blocks) == 2
+            assert blocks["a"].shape == (0, 3)
+            w = blocks["w"]
+            assert w.tolist() == [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]] and not w.flags.writeable
+            del w
 
     def test_encoder_restore_reproduces_outputs(self, vocab, tmp_path):
         cfg = ModelConfig(encoder=small_cfg(vocab))

@@ -3,6 +3,7 @@
 import hashlib
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import pytest
 from melbert.autodiff import Tensor
 from melbert.data import make_synthetic_corpus
 from melbert.bpe import train_bpe
-from melbert.checkpoint import load_checkpoint, save_checkpoint
+from melbert.checkpoint import Blocks, load_checkpoint, save_checkpoint
 from melbert.encoder import EncoderConfig
 from melbert.errors import ConfigError, ContractError, FormatError, TrainingDivergedError
 from melbert.model import MetaphorModel, ModelConfig, Variant
@@ -314,6 +315,12 @@ class TestLoader:
         Variant.SEQ: "86f7c4ec4b0aebf2689a4583709fdba1e51002547cf374d455edddc2db1d0c82",
     }
 
+    # SHA-256 of the files a seed-0 tiny model saves; pins the file format byte for byte
+    FILE_SHA256 = {
+        "m.ckpt": "c0806f24e64699d2c9bb8989e292a6db0054f532d3689185d0af7c060726718a",
+        "t.ckpt": "ef4d31c9bc98b8bb57d40a3babfac3d21b6dcb18448ace5a03c325ed2cc390b3",
+    }
+
     @pytest.fixture(scope="class")
     def train_ckpt(self, tmp_path_factory):
         path = tmp_path_factory.mktemp("loader") / "half.ckpt"
@@ -352,6 +359,38 @@ class TestLoader:
         load_model(model_ckpt, VOCAB)
         load_model(train_ckpt, VOCAB)
         assert self.resume(train_ckpt).global_step == 2 * 3
+
+    def test_saved_bytes_pinned(self, tmp_path):
+        model = MetaphorModel(tiny_cfg(), VOCAB, seed=0)
+        save_model_checkpoint(tmp_path / "m.ckpt", model)
+        save_train_checkpoint(tmp_path / "t.ckpt", model, self.CFG, AdamState.init_like(model.parameters()),
+                              Rng(0, "train"), 0, 1, 3, [0.5])
+        for name, digest in self.FILE_SHA256.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+    def test_model_load_makes_no_moment_array(self, train_ckpt, monkeypatch):
+        looked_up = []
+        getitem = Blocks.__getitem__
+
+        def record(blocks, name):
+            looked_up.append(name)
+            return getitem(blocks, name)
+
+        monkeypatch.setattr(Blocks, "__getitem__", record)
+        load_model(train_ckpt, VOCAB)
+        assert sorted(looked_up) == sorted(MetaphorModel(tiny_cfg(), VOCAB, seed=0).parameters())
+        looked_up.clear()
+        self.resume(train_ckpt)
+        assert any(name.startswith("adam.") for name in looked_up)
+
+    def test_loaded_model_outlives_its_file(self, train_ckpt, tmp_path):
+        path = tmp_path / "t.ckpt"
+        path.write_bytes(train_ckpt.read_bytes())
+        model = load_model(path, VOCAB)
+        with open(path, "r+b") as fh:
+            fh.truncate(0)
+        want = load_model(train_ckpt, VOCAB).predict(CORPUS[0]).score
+        assert model.predict(CORPUS[0]).score == want
 
     def test_unknown_parameter_rejected(self, train_ckpt, tmp_path):
         def add_bogus(arrays):
@@ -449,6 +488,37 @@ class TestMetadata:
         with pytest.raises(FormatError, match="warmup_fraction"):
             self.resume(rewrite(ckpts[1], tmp_path / "t.ckpt",
                                 edit_meta=lambda m: m["train"].update(warmup_fraction=2.0)))
+
+    def test_model_load_reads_no_train_section(self, ckpts, tmp_path):
+        # a training checkpoint written before Adam's constants left TrainConfig
+        path = rewrite(ckpts[1], tmp_path / "t.ckpt", edit_meta=lambda m: m["train"].update(adam_eps=1e-8))
+        assert 0.0 < load_model(path, VOCAB).predict(CORPUS[0]).score < 1.0
+
+    def test_resume_reads_the_train_section(self, ckpts, tmp_path):
+        path = rewrite(ckpts[1], tmp_path / "t.ckpt", edit_meta=lambda m: m["train"].update(adam_eps=1e-8))
+        with pytest.raises(FormatError, match="'train' has unknown key 'adam_eps'"):
+            self.resume(path)
+
+    @pytest.mark.parametrize("key, value, expected", [
+        ("kind", [], "str, got []"),
+        ("seed", False, "int, got False"),
+        ("epoch", "1", "a non-negative int, got '1'"),
+        ("epoch", -1, "a non-negative int, got -1"),
+        ("global_step", 3.0, "a non-negative int, got 3.0"),
+        ("adam_t", True, "a non-negative int, got True"),
+        ("loss_curve", 5, "a list of numbers, got 5"),
+        ("loss_curve", [0.5, "0.4"], "a list of numbers, got '0.4'"),
+        ("loss_curve", [False], "a list of numbers, got False"),
+        ("rng_state", [], "an object, got []"),
+    ])
+    def test_wrongly_typed_top_level_value(self, ckpts, tmp_path, key, value, expected):
+        path = rewrite(ckpts[1], tmp_path / "t.ckpt", edit_meta=lambda m: m.update({key: value}))
+        message = re.escape(f"checkpoint metadata: {key!r} must be {expected}")
+        with pytest.raises(FormatError, match=message):
+            self.resume(path)
+        if key == "kind":
+            with pytest.raises(FormatError, match=message):
+                load_model(path, VOCAB)
 
 
 class TestBagging:
