@@ -77,9 +77,6 @@ class Tensor:
             raise ContractError(f"item() needs a single-element tensor, got shape {self.shape}")
         return float(self.data.item())
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -306,6 +303,30 @@ def concat(tensors, axis: int = 0) -> Tensor:
         return tuple(np.split(g, splits, axis=axis))
 
     return _make(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), bw)
+
+
+def split(a, sizes) -> list[Tensor]:
+    """Consecutive blocks of ``sizes`` rows of ``a``; the inverse of ``concat`` on axis 0.
+
+    Each block is one record, whose backward writes the block's gradient
+    into zeros of ``a``'s shape.
+    """
+    a = as_tensor(a)
+    sizes = np.asarray(sizes, dtype=np.int64)
+    if sizes.ndim != 1 or (sizes < 0).any() or sizes.sum() != a.data.shape[0]:
+        raise ContractError(f"block sizes {sizes.tolist()} do not partition {a.data.shape[0]} rows")
+    shape = a.data.shape
+
+    def block(lo, hi):
+        def bw(g):
+            z = np.zeros(shape)
+            z[lo:hi] = g
+            return (z,)
+
+        return _make(a.data[lo:hi], (a,), bw)
+
+    ends = np.cumsum(sizes).tolist()
+    return [block(hi - n, hi) for n, hi in zip(sizes.tolist(), ends)]
 
 
 def getitem(a, idx) -> Tensor:

@@ -7,13 +7,14 @@ function of the sub-token ids. Each block is multi-head self-attention
 with a residual then layer norm, followed by a two-layer GELU feedforward
 with a residual then layer norm (norms after the residual adds).
 
-The forward pass runs on an ``InputBatch``: B inputs of one kind, at any
-id lengths, packed end to end into T rows. Embeddings, dropouts, layer
-norms and feed-forward layers run once over all T rows; inside the
-attention op, rows are grouped by sequence length so each row attends
-only to its own sequence, with no padding and no mask. Each attention
-and feed-forward sublayer is one tape record. A single instance is a
-batch of one.
+The forward pass runs on one or more ``InputBatch``es, each holding
+inputs of one kind at any id lengths, packed end to end into T rows:
+a scoring batch's sentences and its targets share one pass. Each kind
+is embedded on its own; dropouts, layer norms and feed-forward layers
+then run once over all T rows; inside the attention op, rows are
+grouped by sequence length so each row attends only to its own
+sequence, with no padding and no mask. Each attention and feed-forward
+sublayer is one tape record. A single instance is a batch of one.
 
 Desk-scale defaults (2 layers, 2 heads, width 64) keep every test fast;
 the full-scale geometry (12/12/768) is reachable through the same config.
@@ -125,35 +126,50 @@ class Encoder:
 
     def encode(
         self,
-        batch: InputBatch,
+        *batches: InputBatch,
         mode: str = "eval",
         rng: Rng | None = None,
         keep_attention: bool = False,
-    ) -> EncoderOutput:
+    ) -> list[EncoderOutput]:
+        """One forward pass over ``batches`` packed end to end; an output per batch.
+
+        Each batch is embedded by its kind, the embeddings are joined in
+        batch order, and every layer runs once over the joined rows.
+        Attention keeps each input's rows to themselves, so an input's
+        vectors do not depend on what else shares the pass. Each output
+        holds its own batch's rows only.
+        """
         if mode not in ("train", "eval"):
             raise ContractError(f"mode must be train or eval, got {mode!r}")
         training = mode == "train"
         if training and rng is None:
             raise ContractError("training-mode encode needs an rng for dropout")
+        if not batches:
+            raise ContractError("encode needs at least one input batch")
         cfg = self.cfg
-        if batch.lengths.min() < 1:
+        lengths = np.concatenate([batch.lengths for batch in batches])
+        if lengths.min() < 1:
             raise ContractError("cannot encode an empty id sequence")
-        if batch.lengths.max() > cfg.max_positions:
-            raise ContractError(f"sequence length {batch.lengths.max()} exceeds max_positions {cfg.max_positions}")
+        if lengths.max() > cfg.max_positions:
+            raise ContractError(f"sequence length {lengths.max()} exceeds max_positions {cfg.max_positions}")
 
         p = cfg.dropout
         P = self.params
-        x = ad.embedding(P["emb.tok"], batch.ids)
-        if batch.positions is not None:
-            x = ad.add(x, ad.embedding(P["emb.pos"], batch.positions))
-            x = ad.add(x, ad.embedding(P["emb.seg"], batch.segments))
+        embedded = []
+        for batch in batches:
+            x = ad.embedding(P["emb.tok"], batch.ids)
+            if batch.positions is not None:
+                x = ad.add(x, ad.embedding(P["emb.pos"], batch.positions))
+                x = ad.add(x, ad.embedding(P["emb.seg"], batch.segments))
+            embedded.append(x)
+        x = embedded[0] if len(embedded) == 1 else ad.concat(embedded, axis=0)
         x = ad.dropout(x, p, training, rng)
 
         attentions: list[list[np.ndarray]] | None = [] if keep_attention else None
         for i in range(cfg.num_layers):
             attn = [P[f"layer{i}.attn.{proj}.{wb}"] for proj in "qkvo" for wb in "wb"]
             kept = [] if attentions is not None else None
-            a = ad.self_attention(x, attn, batch.lengths, cfg.num_heads, p, training, rng, kept)
+            a = ad.self_attention(x, attn, lengths, cfg.num_heads, p, training, rng, kept)
             if attentions is not None:
                 attentions.append(kept)
             x = ad.layer_norm(ad.add(x, a), P[f"layer{i}.ln1.g"], P[f"layer{i}.ln1.b"])
@@ -161,5 +177,13 @@ class Encoder:
                                 P[f"layer{i}.ffn.w2"], P[f"layer{i}.ffn.b2"], p, training, rng)
             x = ad.layer_norm(ad.add(x, h), P[f"layer{i}.ln2.g"], P[f"layer{i}.ln2.b"])
 
-        return EncoderOutput(cls=x[batch.offsets], positions=x, offsets=batch.offsets,
-                             lengths=batch.lengths, attentions=attentions)
+        blocks = [x] if len(batches) == 1 else ad.split(x, [len(batch.ids) for batch in batches])
+        outputs = []
+        first = 0  # index of the batch's first input among all inputs
+        for batch, rows in zip(batches, blocks):
+            B = len(batch.lengths)
+            own = None if attentions is None else [layer[first:first + B] for layer in attentions]
+            outputs.append(EncoderOutput(cls=rows[batch.offsets], positions=rows, offsets=batch.offsets,
+                                         lengths=batch.lengths, attentions=own))
+            first += B
+        return outputs

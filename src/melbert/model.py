@@ -1,21 +1,23 @@
 """The five scoring variants wired to the shared encoder.
 
-The full model runs the encoder twice per instance (late interaction):
-once over the sentence with positions and segments, once over the bare
-target. Both interaction heads read from those passes and a logistic
-combiner produces the score. Ablations drop one head. The two baselines
-need a single encoder pass: all-to-all packs sentence and target into
-one unmarked sequence and classifies from [CLS]; the sequence-labeling
-baseline classifies from the segment-marked target vector directly.
+The full model encodes each instance twice (late interaction): the
+sentence with positions and segments, and the bare target. Both
+interaction heads read from those encodings and a logistic combiner
+produces the score. Ablations drop one head. The two baselines need no
+bare target: all-to-all packs sentence and target into one unmarked
+sequence and classifies from [CLS]; the sequence-labeling baseline
+classifies from the segment-marked target vector directly.
 
-Scoring is batched: ``score_batch`` packs a batch's sentences, at any id
-lengths, into one encoder pass and its targets into another, runs the
-heads on [B, d] rows and returns the scores in input order. Training
-scores a whole batch under one tape; a prediction is a batch of one.
+Scoring is batched: ``score_batch`` packs a batch's sentences and the
+targets it must encode, at any id lengths, into one encoder pass, runs
+the heads on [B, d] rows and returns the scores in input order. Inside
+the pass each input attends only to its own rows, so a target is still
+encoded free of context. Training scores a whole batch under one tape;
+a prediction is a batch of one.
 
-Because the target pass sees no context, its vector depends only on the
-target's sub-token ids, so evaluation caches it per id sequence. Any
-parameter update invalidates the cache.
+Because a target's encoding sees no context, its vector depends only on
+the target's sub-token ids, so evaluation caches it per id sequence and
+encodes only the misses. Any parameter update invalidates the cache.
 """
 
 from __future__ import annotations
@@ -169,45 +171,44 @@ class MetaphorModel:
 
     # -- scoring ---------------------------------------------------------
 
-    def _encode(self, inputs, mode: str, rng, *poolings: str) -> list[Tensor]:
-        """One encoder pass over inputs of one kind; an [n, d] tensor per pooling ("cls" or "mean")."""
-        batch = InputBatch.stack(inputs)
-        out = self.encoder.encode(batch, mode, rng)
-        return [pool_span(out, batch.spans, pooling) for pooling in poolings]
+    def _encode(self, sents: list[SentenceInput], tgts: Optional[list[TargetInput]], mode: str, rng):
+        """One encoder pass over the batch's sentences and the targets it must encode.
 
-    def _target_vectors(self, tgts: list[TargetInput], mode: str, rng) -> Tensor:
-        """[B, d] isolated target vectors; eval mode reads and fills the cache.
-
-        In eval mode each distinct uncached id sequence is encoded once and
+        Returns [B, d] tensors: v_s (each sentence's [CLS] row), v_st (its
+        mean over the target span) and v_t (the isolated target vectors,
+        None when ``tgts`` is None). Training encodes every target. Eval
+        encodes each distinct uncached id sequence once and caches it;
         every other row, a cached target or a repeat within the batch,
         counts as a cache hit, so the counters match scoring one by one.
         """
-        pooling = self.cfg.target_pooling
+        cached: dict[tuple[int, ...], np.ndarray] = {}
+        fresh = tgts or []
+        if tgts and mode == "eval":
+            distinct = {tgt.ids: tgt for tgt in tgts}  # first-seen order
+            cached = {ids: self._target_cache[ids] for ids in distinct if ids in self._target_cache}
+            fresh = [tgt for ids, tgt in distinct.items() if ids not in cached]
+            self.counters.target_cache_hits += len(tgts) - len(fresh)
+        self.counters.sentence += len(sents)
+        self.counters.target += len(fresh)
+
+        batches = [InputBatch.stack(sents)] + ([InputBatch.stack(fresh)] if fresh else [])
+        outputs = self.encoder.encode(*batches, mode=mode, rng=rng)
+        v_s = pool_span(outputs[0], batches[0].spans, "cls")
+        v_st = pool_span(outputs[0], batches[0].spans, "mean")
+        if tgts is None:
+            return v_s, v_st, None
+        encoded = pool_span(outputs[1], batches[1].spans, self.cfg.target_pooling) if fresh else None
         if mode != "eval":
-            self.counters.target += len(tgts)
-            return self._encode(tgts, mode, rng, pooling)[0]
-        misses: dict[tuple[int, ...], TargetInput] = {}
-        hits: dict[tuple[int, ...], np.ndarray] = {}
-        for tgt in tgts:
-            if tgt.ids in misses or tgt.ids in hits:
-                continue
-            cached = self._target_cache.get(tgt.ids)
-            if cached is None:
-                misses[tgt.ids] = tgt
-            else:
-                hits[tgt.ids] = cached
-        self.counters.target += len(misses)
-        self.counters.target_cache_hits += len(tgts) - len(misses)
+            return v_s, v_st, encoded
         parts = []
-        if misses:
-            (encoded,) = self._encode(list(misses.values()), mode, rng, pooling)
-            for ids, v in zip(misses, encoded.data):
-                self._target_cache[ids] = v.copy()
+        if fresh:
+            for tgt, v in zip(fresh, encoded.data):
+                self._target_cache[tgt.ids] = v.copy()
             parts.append(encoded)
-        if hits:
-            parts.append(Tensor(np.stack(list(hits.values()))))
-        row = {ids: r for r, ids in enumerate([*misses, *hits])}
-        return _gather(parts, [row[t.ids] for t in tgts])
+        if cached:
+            parts.append(Tensor(np.stack(list(cached.values()))))
+        row = {ids: r for r, ids in enumerate([*(tgt.ids for tgt in fresh), *cached])}
+        return v_s, v_st, _gather(parts, [row[tgt.ids] for tgt in tgts])
 
     def score_batch(
         self,
@@ -222,8 +223,10 @@ class MetaphorModel:
         variant = self.cfg.variant
         p = self.cfg.encoder.dropout
         training = mode == "train"
-        v_s, v_st = self._encode(sents, mode, rng, "cls", "mean")
-        self.counters.sentence += len(sents)
+        late = variant in (Variant.MELBERT, Variant.NO_SPV)  # the variants that read the isolated target
+        if late and any(t is None for t in tgts):
+            raise ContractError(f"variant {variant.value} needs a target input")
+        v_s, v_st, v_t = self._encode(sents, tgts if late else None, mode, rng)
 
         if variant is Variant.BASE_ALL2ALL:
             return combine_single(v_s, self.heads)
@@ -233,9 +236,6 @@ class MetaphorModel:
             h_g = contrast_head(v_s, v_st, self.heads, p, training, rng)
             return combine_single(h_g, self.heads)
 
-        if any(t is None for t in tgts):
-            raise ContractError(f"variant {variant.value} needs a target input")
-        v_t = self._target_vectors(tgts, mode, rng)
         h_f = interaction_head(v_st, v_t, self.heads, p, training, rng)
         if variant is Variant.NO_SPV:
             return combine_single(h_f, self.heads)

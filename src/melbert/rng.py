@@ -105,9 +105,3 @@ class Rng:
         self.stream = snap["stream"]
         self._gen = np.random.Generator(np.random.Philox(key=_derive_key(self.seed, self.stream)))
         self._gen.bit_generator.state = _unjsonify(snap["bitgen"])
-
-    @classmethod
-    def from_state(cls, snap: dict) -> "Rng":
-        rng = cls(int(snap["seed"]), snap["stream"])
-        rng.set_state(snap)
-        return rng

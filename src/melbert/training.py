@@ -2,9 +2,9 @@
 resume bit-exactly, and bagged k-fold CV.
 
 A training batch is scored by one ``score_batch`` call under one tape:
-its sentences are packed into one encoder pass and, for the
-late-interaction variants, its targets into another, so the mean loss
-over the batch backpropagates in a single sweep. (A prediction is the
+its sentences and, for the late-interaction variants, its targets are
+packed into one encoder pass, so the mean loss over the batch
+backpropagates in a single sweep. (A prediction is the
 same path with a batch of one.) Every random decision after model
 init flows from one Philox stream whose state is written into the
 training checkpoint; restoring it replays the identical shuffle and
@@ -210,10 +210,12 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _read_run_state(meta) -> TrainConfig:
-    """The training config of a training checkpoint's metadata, which
-    ``_read_meta`` has read, with each top-level value a resume uses
-    type-checked; a bad one is a ``FormatError`` naming its key."""
+def _read_run_state(meta) -> tuple[TrainConfig, Rng]:
+    """The training config and the restored training stream of a training
+    checkpoint's metadata, which ``_read_meta`` has read. Each top-level
+    value a resume uses is type-checked, the stream's state must be one
+    Philox accepts, and ``epoch`` may not pass ``train.epochs``; a bad
+    value is a ``FormatError`` naming its key."""
     try:
         cfg = TrainConfig.from_dict(meta["train"], "train")
     except ConfigError as e:
@@ -223,13 +225,30 @@ def _read_run_state(meta) -> TrainConfig:
     for key in ("epoch", "global_step", "adam_t"):
         if not (_is_int(meta[key]) and meta[key] >= 0):
             raise FormatError(f"checkpoint metadata: {key!r} must be a non-negative int, got {meta[key]!r}")
+    if meta["epoch"] > cfg.epochs:
+        raise FormatError(f"checkpoint metadata: 'epoch' must be at most train.epochs ({cfg.epochs}), "
+                          f"got {meta['epoch']!r}")
     curve = meta["loss_curve"]
     bad = [x for x in curve if not (_is_int(x) or isinstance(x, float))] if isinstance(curve, list) else [curve]
     if bad:
         raise FormatError(f"checkpoint metadata: 'loss_curve' must be a list of numbers, got {bad[0]!r}")
-    if not isinstance(meta["rng_state"], dict):
-        raise FormatError(f"checkpoint metadata: 'rng_state' must be an object, got {meta['rng_state']!r}")
-    return cfg
+    state = meta["rng_state"]
+    if not isinstance(state, dict):
+        raise FormatError(f"checkpoint metadata: 'rng_state' must be an object, got {state!r}")
+    try:
+        check_keys(state, ("seed", "stream", "bitgen"), "rng_state")
+    except ConfigError as e:
+        raise FormatError(f"checkpoint metadata: {e}") from e
+    if not _is_int(state["seed"]):
+        raise FormatError(f"checkpoint metadata: 'rng_state.seed' must be int, got {state['seed']!r}")
+    if not isinstance(state["stream"], str):
+        raise FormatError(f"checkpoint metadata: 'rng_state.stream' must be str, got {state['stream']!r}")
+    rng = Rng(state["seed"], state["stream"])
+    try:
+        rng.set_state(state)
+    except (TypeError, ValueError, KeyError, IndexError, OverflowError) as e:
+        raise FormatError(f"checkpoint metadata: 'rng_state.bitgen' must be a Philox state: {e}") from e
+    return cfg, rng
 
 
 def _restore(cfg: ModelConfig, meta: dict, blocks: Mapping[str, np.ndarray], vocab: Vocab) -> MetaphorModel:
@@ -310,8 +329,8 @@ def train_single(
     """
     if not dataset:
         raise ContractError("cannot train on an empty dataset")
-    train_rng = Rng(seed, "train")
     if resume_from is None:
+        train_rng = Rng(seed, "train")
         model = MetaphorModel(model_cfg, vocab, seed)
         adam = AdamState.init_like(model.parameters())
         start_epoch = 0
@@ -322,14 +341,13 @@ def train_single(
             saved_model_cfg = _read_meta(meta)
             if meta["kind"] != "train":
                 raise ContractError("resume checkpoint must be a training checkpoint")
-            saved_cfg = _read_run_state(meta)
+            saved_cfg, train_rng = _read_run_state(meta)
             if saved_model_cfg != model_cfg or saved_cfg != cfg:
                 raise ContractError("resume checkpoint was written under a different configuration")
             if meta["seed"] != seed:
                 raise ContractError(f"resume checkpoint is for seed {meta['seed']}, not {seed}")
             model = _restore(saved_model_cfg, meta, blocks, vocab)
             adam = _restore_adam(model, meta, blocks)
-        train_rng.set_state(meta["rng_state"])
         start_epoch = meta["epoch"]
         global_step = meta["global_step"]
         loss_curve = list(meta["loss_curve"])

@@ -270,6 +270,22 @@ class TestGradientChecks:
             [self.rng.standard_normal((5, 4))],
         )
 
+    def test_split(self):
+        w1, w3 = self.rng.standard_normal((2, 3)), self.rng.standard_normal((3, 3))
+
+        def f(x):
+            a, b, c = ad.split(x, [2, 1, 3])  # b is unused: its rows get zero gradient
+            return ad.add(ad.tsum(ad.mul(a, Tensor(w1))), ad.tsum(ad.mul(ad.gelu(c), Tensor(w3))))
+
+        self._probe(f, [self.rng.standard_normal((6, 3))])
+
+    def test_split_inverts_concat(self):
+        a, b = self.rng.standard_normal((2, 3)), self.rng.standard_normal((4, 3))
+        got = ad.split(ad.concat([Tensor(a), Tensor(b)], axis=0), [2, 4])
+        assert [t.data.tobytes() for t in got] == [a.tobytes(), b.tobytes()]
+        with pytest.raises(ContractError):
+            ad.split(Tensor(a), [1, 2])
+
     def test_embedding(self):
         ids = np.array([0, 2, 2, 1])
         w = self.rng.standard_normal((4, 3))

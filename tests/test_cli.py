@@ -163,6 +163,17 @@ class TestTrain:
                    "--out", workdir / "resumed.ckpt") == 0
         assert log.read_text().splitlines() == full.read_text().splitlines()
 
+    def test_resume_with_bad_rng_state_is_one_error_line(self, workdir, tmp_path, capsys):
+        args = ("train", "--corpus", workdir / "train.tsv", "--vocab", workdir / "vocab.txt",
+                "--config", workdir / "tiny.cfg", "--out", tmp_path / "out.ckpt")
+        assert run(workdir, *args, "--save-train-state", tmp_path / "state.ckpt") == 0
+        meta, arrays = load_checkpoint(tmp_path / "state.ckpt")
+        meta["rng_state"] = {}
+        save_checkpoint(tmp_path / "bad.ckpt", meta, arrays)
+        capsys.readouterr()
+        assert run(workdir, *args, "--resume", tmp_path / "bad.ckpt") == 1
+        assert capsys.readouterr().err == "error: checkpoint metadata: 'rng_state' has no key 'seed'\n"
+
 
 class TestEval:
     """Evaluation command and its JSON report."""

@@ -111,7 +111,7 @@ class TestForward:
     def test_output_shapes(self, vocab):
         enc = Encoder(small_cfg(vocab), Draw(Rng(0, "init")))
         inp = sentence_input(vocab)
-        out = enc.encode(one(inp))
+        (out,) = enc.encode(one(inp))
         L = len(inp.ids)
         assert out.positions.shape == (L, 16)
         assert out.cls.shape == (1, 16)
@@ -120,29 +120,29 @@ class TestForward:
     def test_eval_deterministic_bitwise(self, vocab):
         enc = Encoder(small_cfg(vocab), Draw(Rng(1, "init")))
         inp = sentence_input(vocab)
-        a = enc.encode(one(inp)).positions.data
-        b = enc.encode(one(inp)).positions.data
+        a = enc.encode(one(inp))[0].positions.data
+        b = enc.encode(one(inp))[0].positions.data
         assert a.tobytes() == b.tobytes()
 
     def test_train_mode_dropout_differs(self, vocab):
         enc = Encoder(small_cfg(vocab), Draw(Rng(1, "init")))
         inp = sentence_input(vocab)
         rng = Rng(3, "drop")
-        a = enc.encode(one(inp), mode="train", rng=rng).positions.data
-        b = enc.encode(one(inp), mode="train", rng=rng).positions.data
+        a = enc.encode(one(inp), mode="train", rng=rng)[0].positions.data
+        b = enc.encode(one(inp), mode="train", rng=rng)[0].positions.data
         assert a.tobytes() != b.tobytes()
 
     def test_zero_dropout_train_equals_eval(self, vocab):
         enc = Encoder(small_cfg(vocab, dropout=0.0), Draw(Rng(1, "init")))
         inp = sentence_input(vocab)
-        a = enc.encode(one(inp), mode="train", rng=Rng(0)).positions.data
-        b = enc.encode(one(inp), mode="eval").positions.data
+        a = enc.encode(one(inp), mode="train", rng=Rng(0))[0].positions.data
+        b = enc.encode(one(inp), mode="eval")[0].positions.data
         assert a.tobytes() == b.tobytes()
 
     def test_attention_rows_are_distributions(self, vocab):
         enc = Encoder(small_cfg(vocab), Draw(Rng(2, "init")))
         inputs = [sentence_input(vocab), sentence_input(vocab, tokens=("the", "big", "cat", "sat"), target=2)]
-        out = enc.encode(InputBatch.stack(inputs), keep_attention=True)
+        (out,) = enc.encode(InputBatch.stack(inputs), keep_attention=True)
         assert len(out.attentions) == 2  # one per layer
         for layer in out.attentions:
             assert len(layer) == len(inputs)  # one per packed input
@@ -157,12 +157,12 @@ class TestForward:
         inst = Instance("s", ("the", "cat"), 1, 0.0, "NOUN")
         tgt = build_target_input(inst, vocab)
         sent = build_sentence_input(inst, vocab)
-        t_before = enc.encode(one(tgt)).positions.data.copy()
-        s_before = enc.encode(one(sent)).positions.data.copy()
+        t_before = enc.encode(one(tgt))[0].positions.data.copy()
+        s_before = enc.encode(one(sent))[0].positions.data.copy()
         enc.params["emb.pos"].data += 7.0
         enc.params["emb.seg"].data -= 3.0
-        assert enc.encode(one(tgt)).positions.data.tobytes() == t_before.tobytes()
-        assert enc.encode(one(sent)).positions.data.tobytes() != s_before.tobytes()
+        assert enc.encode(one(tgt))[0].positions.data.tobytes() == t_before.tobytes()
+        assert enc.encode(one(sent))[0].positions.data.tobytes() != s_before.tobytes()
 
     def test_length_overflow(self, vocab):
         enc = Encoder(small_cfg(vocab, max_positions=4), Draw(Rng(0, "init")))
@@ -186,6 +186,50 @@ class TestForward:
             enc.encode(one(sentence_input(vocab)), mode="train")
 
 
+class TestPackedKinds:
+    """Sentences and targets share one pass, and neither kind sees the other."""
+
+    WORDS = ("cat", "dog", "catdog", "mat", "tomato", "cat")  # 3 to 7 ids each, one repeat
+
+    def test_target_vectors_ignore_the_sentences(self, vocab):
+        enc = Encoder(small_cfg(vocab), Draw(Rng(12, "init")))
+        targets = InputBatch.stack([build_target_input(Instance("t", (w,), 0, 0.0, "NOUN"), vocab)
+                                    for w in self.WORDS])
+        # the oracle: the targets encoded with nothing else in the pass
+        (alone,) = enc.encode(targets)
+        want = pool_span(alone, targets.spans).data
+        packs = [
+            [sentence_input(vocab)],
+            [sentence_input(vocab, tokens=("the", "dog", "ran"), target=1)],  # same length, new ids
+            [sentence_input(vocab, tokens=("the",), target=0),                 # as long as "sat": 4 ids
+             sentence_input(vocab, tokens=("the", "cat", "sat", "on", "the", "mat"), target=5)],
+        ]
+        seen = set()
+        for sents in packs:
+            sentences = InputBatch.stack(sents)
+            seen.update(sentences.lengths.tolist())
+            out_s, out_t = enc.encode(sentences, targets)
+            assert pool_span(out_t, targets.spans).data.tobytes() == want.tobytes()
+            assert out_t.positions.data.tobytes() == alone.positions.data.tobytes()
+            (sentences_alone,) = enc.encode(sentences)
+            assert out_s.positions.data.tobytes() == sentences_alone.positions.data.tobytes()
+        assert seen & set(targets.lengths.tolist())  # some pass groups the two kinds in attention
+
+    def test_outputs_hold_their_own_rows(self, vocab):
+        enc = Encoder(small_cfg(vocab), Draw(Rng(12, "init")))
+        sents = InputBatch.stack([sentence_input(vocab), sentence_input(vocab, tokens=("the",), target=0)])
+        tgts = InputBatch.stack([build_target_input(Instance("t", ("dog",), 0, 0.0, "NOUN"), vocab)])
+        out_s, out_t = enc.encode(sents, tgts, keep_attention=True)
+        assert out_s.positions.shape == (len(sents.ids), 16) and out_t.positions.shape == (len(tgts.ids), 16)
+        assert out_s.cls.shape == (2, 16) and out_t.cls.shape == (1, 16)
+        assert [len(layer) for layer in out_s.attentions] == [2, 2]
+        assert [a.shape for layer in out_t.attentions for a in layer] == [(2, 5, 5)] * 2
+
+    def test_no_batch_rejected(self, vocab):
+        with pytest.raises(ContractError):
+            Encoder(small_cfg(vocab), Draw(Rng(0, "init"))).encode()
+
+
 class TestPooling:
     """Span mean pooling and the cls alternative."""
 
@@ -193,7 +237,7 @@ class TestPooling:
         enc = Encoder(small_cfg(vocab), Draw(Rng(6, "init")))
         first = sentence_input(vocab)
         inp = sentence_input(vocab, tokens=("the", "big", "cat", "sat"), target=2)
-        out = enc.encode(InputBatch.stack([first, inp]))  # inp's rows start after first's
+        (out,) = enc.encode(InputBatch.stack([first, inp]))  # inp's rows start after first's
         s, e = inp.target_span
         got = pool_span(out, [first.target_span, (s, e)]).data[1]
         want = out.positions.data[len(first.ids) + s : len(first.ids) + e].mean(axis=0)
@@ -201,12 +245,12 @@ class TestPooling:
 
     def test_cls_pooling_returns_cls(self, vocab):
         enc = Encoder(small_cfg(vocab), Draw(Rng(6, "init")))
-        out = enc.encode(one(sentence_input(vocab)))
+        (out,) = enc.encode(one(sentence_input(vocab)))
         np.testing.assert_array_equal(pool_span(out, [(1, 2)], pooling="cls").data, out.cls.data)
 
     def test_empty_span_rejected(self, vocab):
         enc = Encoder(small_cfg(vocab), Draw(Rng(6, "init")))
-        out = enc.encode(one(sentence_input(vocab)))
+        (out,) = enc.encode(one(sentence_input(vocab)))
         with pytest.raises(ContractError):
             pool_span(out, [(2, 2)])
         with pytest.raises(ContractError):
@@ -227,7 +271,7 @@ class TestEncoderGradients:
         def build(*tensors):
             for n, t in zip(names, tensors):
                 enc.params[n] = t
-            out = enc.encode(one(inp))
+            (out,) = enc.encode(one(inp))
             return ad.tsum(ad.mul(out.positions, Tensor(proj)))
 
         check_grads(build, arrays, n_probes=60, rng=np.random.default_rng(9))
@@ -354,9 +398,9 @@ class TestCheckpointFile:
         cfg = ModelConfig(encoder=small_cfg(vocab))
         model = MetaphorModel(cfg, vocab, seed=11)
         inp = one(sentence_input(vocab))
-        want = model.encoder.encode(inp).positions.data.copy()
+        want = model.encoder.encode(inp)[0].positions.data.copy()
         path = tmp_path / "model.bin"
         save_checkpoint(path, {"kind": "model", "model": cfg.to_dict()}, model.export_arrays())
         model2 = load_model(path, vocab)
-        got = model2.encoder.encode(inp).positions.data
+        got = model2.encoder.encode(inp)[0].positions.data
         assert got.tobytes() == want.tobytes()

@@ -1,5 +1,7 @@
 """Variant wiring: routing, dead parameters, caching, determinism."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -117,6 +119,54 @@ class TestBatchedScoring:
             model.score_batch([], [])
 
 
+class TestPinnedEvalScores:
+    """Evaluation scores of seed-0 models are pinned bit for bit.
+
+    Each digest is the SHA-256 of every score below, in order, as float64
+    bytes. The sequence mixes single predictions and batches, cold and
+    warm cache rows, and targets repeated inside a batch ("sail" appears
+    three times in CORPUS[:8]). In SHORT, each sentence is as long as a
+    target of its pack (5 and 12 ids), so attention groups the two kinds
+    together. A changed digest means evaluation output changed, not just
+    drifted within a tolerance.
+    """
+
+    SHORT = [Instance("short-1", ("the", "sail"), 1, 0.0, "NOUN"),
+             Instance("short-2", ("the", "shipwrights", "sail"), 1, 1.0, "NOUN")]
+    SCORES_SHA256 = {
+        "melbert": "e4a18aeab593e7e7bc270a954772cf2bad41bcdf8a0543c33bdc680e2cb941a6",
+        "no_mip": "3b6b1456d0965bf9ce317bfa7d4a9320118a7d960acf038ad2e45a684c437e28",
+        "no_spv": "405a4e1f78434b274a0d424630e34025fec284c35dd32535b0ab4e5f67b502fc",
+        "base_all2all": "f1b228b68a3629ea9b76064c360a3eca84e2cb96babefd9ba7670f4b48438cbe",
+        "seq": "1a2cbb0d9a00c0063839567d7d4125afe331294d99e3d619a357207ce51be8c0",
+        "melbert/cls": "06ac10ba61016df20e560bf3ddcf47b0b3b4c418265b86d42f23fcaf686b2f46",
+    }
+
+    @classmethod
+    def scores(cls, model) -> np.ndarray:
+        def batch(instances):
+            prepared = [model.build_inputs(i) for i in instances]
+            return list(model.score_batch([s for s, _ in prepared], [g for _, g in prepared]).data)
+
+        out = [model.predict(i).score for i in CORPUS[:3]]  # cold, one at a time
+        out += batch(CORPUS[:8])                              # 3 warm rows, a repeated target
+        out += batch(CORPUS[8:9])                             # cold batch of one
+        for start in range(9, 40, 7):                         # cold and warm rows mixed
+            out += batch(CORPUS[start:start + 7])
+        out += [model.predict(cls.SHORT[0]).score]            # 5-id sentence, 5-id target
+        out += batch([cls.SHORT[1], *CORPUS[:4]])             # 12-id target, 12-id sentences
+        out += [model.predict(i).score for i in CORPUS[::9]]  # warm, one at a time
+        return np.array(out)
+
+    @pytest.mark.parametrize("key", list(SCORES_SHA256))
+    def test_scores_digest(self, vocab, key):
+        name, _, pooling = key.partition("/")
+        enc = EncoderConfig(vocab_size=len(vocab), num_layers=2, num_heads=2, hidden_dim=16, ffn_dim=32)
+        cfg = ModelConfig(encoder=enc, variant=Variant(name), target_pooling=pooling or "mean")
+        digest = hashlib.sha256(self.scores(MetaphorModel(cfg, vocab, seed=0)).tobytes()).hexdigest()
+        assert digest == self.SCORES_SHA256[key]
+
+
 class TestDeadParameters:
     """Ablated variants must ignore the other head's parameters exactly."""
 
@@ -173,14 +223,14 @@ class TestTargetCache:
         assert model.counters.target_cache_hits == len(instances) - len(distinct)
 
     def test_cached_vector_bitwise_equals_fresh(self, vocab):
-        model = make_model(vocab)
-        inst = CORPUS[0]
-        tgt = model.build_inputs(inst)[1]
-        v1 = model._target_vectors([tgt], "eval", None).data.copy()  # miss
-        v2 = model._target_vectors([tgt], "eval", None).data.copy()  # hit
+        model = make_model(vocab, Variant.NO_SPV)  # the score reads the target vector through one head
+        sent, tgt = model.build_inputs(CORPUS[0])
+        s1 = model.score_batch([sent], [tgt]).data.copy()  # miss
+        s2 = model.score_batch([sent], [tgt]).data.copy()  # hit
         model.mark_updated()
-        v3 = model._target_vectors([tgt], "eval", None).data.copy()  # recomputed
-        assert v1.tobytes() == v2.tobytes() == v3.tobytes()
+        s3 = model.score_batch([sent], [tgt]).data.copy()  # recomputed
+        assert s1.tobytes() == s2.tobytes() == s3.tobytes()
+        assert (model.counters.target, model.counters.target_cache_hits) == (2, 1)
 
     def test_invalidation_on_update(self, vocab):
         model = make_model(vocab)

@@ -499,6 +499,16 @@ class TestMetadata:
         with pytest.raises(FormatError, match="'train' has unknown key 'adam_eps'"):
             self.resume(path)
 
+    @pytest.mark.parametrize("key", ["seed", "stream", "bitgen"])
+    def test_resume_without_rng_state_key(self, ckpts, tmp_path, key):
+        path = rewrite(ckpts[1], tmp_path / "t.ckpt", edit_meta=lambda m: m["rng_state"].pop(key))
+        with pytest.raises(FormatError, match=f"checkpoint metadata: 'rng_state' has no key '{key}'"):
+            self.resume(path)
+
+    def test_resume_at_the_last_epoch_trains_nothing(self, ckpts, tmp_path):
+        path = rewrite(ckpts[1], tmp_path / "t.ckpt", edit_meta=lambda m: m.update(epoch=self.CFG.epochs))
+        assert self.resume(path).loss_curve == [0.5]
+
     @pytest.mark.parametrize("key, value, expected", [
         ("kind", [], "str, got []"),
         ("seed", False, "int, got False"),
@@ -510,9 +520,20 @@ class TestMetadata:
         ("loss_curve", [0.5, "0.4"], "a list of numbers, got '0.4'"),
         ("loss_curve", [False], "a list of numbers, got False"),
         ("rng_state", [], "an object, got []"),
+        ("rng_state.seed", "0", "int, got '0'"),
+        ("rng_state.stream", 5, "str, got 5"),
+        ("rng_state.bitgen", 5, "a Philox state: state must be a dict"),
+        ("rng_state.bitgen", {"bit_generator": "PCG64"}, "a Philox state: state must be for a Philox PRNG"),
+        ("epoch", 7, "at most train.epochs (2), got 7"),
     ])
     def test_wrongly_typed_top_level_value(self, ckpts, tmp_path, key, value, expected):
-        path = rewrite(ckpts[1], tmp_path / "t.ckpt", edit_meta=lambda m: m.update({key: value}))
+        def edit(meta):
+            *outer, last = key.split(".")
+            for part in outer:
+                meta = meta[part]
+            meta[last] = value
+
+        path = rewrite(ckpts[1], tmp_path / "t.ckpt", edit_meta=edit)
         message = re.escape(f"checkpoint metadata: {key!r} must be {expected}")
         with pytest.raises(FormatError, match=message):
             self.resume(path)
