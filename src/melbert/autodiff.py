@@ -28,10 +28,18 @@ _TAPE_STACK: list["Tape"] = []
 
 
 class Tape:
-    """Wengert list of recorded operations, in execution order."""
+    """Wengert list of recorded operations, in execution order.
+
+    ``backward`` releases each record once it has swept it. A recorded
+    tensor refers back to its tape, so until then the tape and its
+    tensors form a cycle that only the garbage collector would free; a
+    step's intermediates are instead freed as its sweep passes them.
+    ``len`` counts every operation recorded, swept or not.
+    """
 
     def __init__(self):
         self.records: list[tuple["Tensor", tuple["Tensor", ...], object]] = []
+        self.swept = 0
 
     def __enter__(self) -> "Tape":
         _TAPE_STACK.append(self)
@@ -42,7 +50,7 @@ class Tape:
         return False
 
     def __len__(self) -> int:
-        return len(self.records)
+        return self.swept + len(self.records)
 
 
 def _active_tape():
@@ -160,19 +168,23 @@ def backward(loss: Tensor) -> None:
 
     Gradients accumulate into ``.grad`` of every requires_grad tensor the
     taped computation touched; touched leaves that do not influence the
-    loss end up with explicit zeros.
+    loss end up with explicit zeros. Each record is released as soon as
+    it is swept, so a tape is swept once.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
     tape = loss.tape
     if tape is None or not tape.records:
-        raise ContractError("loss was not recorded on a tape (empty or missing tape)")
+        raise ContractError("loss was not recorded on a tape (empty, missing or already swept tape)")
     loss.grad = np.ones_like(loss.data)
-    leaves = set()
-    for out, inputs, backward_fn in reversed(tape.records):
+    records = tape.records
+    tape.swept += len(records)
+    leaves = {}
+    while records:
+        out, inputs, backward_fn = records.pop()
         for t in inputs:
             if t.requires_grad and t.tape is None:
-                leaves.add(id(t))
+                leaves[id(t)] = t
         if out.grad is None:
             continue
         grads = backward_fn(out.grad)
@@ -181,10 +193,9 @@ def backward(loss: Tensor) -> None:
                 continue
             t.grad = g if t.grad is None else t.grad + g
     # touched-but-uninfluential leaves still get a well-defined gradient
-    for out, inputs, _ in tape.records:
-        for t in inputs:
-            if id(t) in leaves and t.grad is None:
-                t.grad = np.zeros_like(t.data)
+    for t in leaves.values():
+        if t.grad is None:
+            t.grad = np.zeros_like(t.data)
 
 
 # ---------------------------------------------------------------------------

@@ -214,8 +214,9 @@ def _read_run_state(meta) -> tuple[TrainConfig, Rng]:
     """The training config and the restored training stream of a training
     checkpoint's metadata, which ``_read_meta`` has read. Each top-level
     value a resume uses is type-checked, the stream's state must be one
-    Philox accepts, and ``epoch`` may not pass ``train.epochs``; a bad
-    value is a ``FormatError`` naming its key."""
+    Philox accepts with its buffer position in 0-4 and ``has_uint32`` 0 or
+    1, and ``epoch`` may not pass ``train.epochs``; a bad value is a
+    ``FormatError`` naming its key."""
     try:
         cfg = TrainConfig.from_dict(meta["train"], "train")
     except ConfigError as e:
@@ -248,6 +249,12 @@ def _read_run_state(meta) -> tuple[TrainConfig, Rng]:
         rng.set_state(state)
     except (TypeError, ValueError, KeyError, IndexError, OverflowError) as e:
         raise FormatError(f"checkpoint metadata: 'rng_state.bitgen' must be a Philox state: {e}") from e
+    # numpy's setter takes any integer here, and a buffer position outside
+    # the four-word buffer then reads past it
+    for field, allowed, want in (("buffer_pos", range(5), "an int in 0-4"), ("has_uint32", (0, 1), "0 or 1")):
+        value = state["bitgen"][field]
+        if not (_is_int(value) and value in allowed):
+            raise FormatError(f"checkpoint metadata: 'rng_state.bitgen.{field}' must be {want}, got {value!r}")
     return cfg, rng
 
 

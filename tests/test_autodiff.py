@@ -1,5 +1,7 @@
 """Tensor op forward oracles and reverse-mode gradient checks."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -470,6 +472,31 @@ class TestBackwardSemantics:
             loss = ad.tsum(y)
         ad.backward(loss)
         np.testing.assert_array_equal(x.grad, np.zeros(4))
+
+    def test_sweep_releases_the_tape(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        with Tape() as tape:
+            loss = ad.tsum(ad.mul(x, x))
+        ad.backward(loss)
+        assert len(tape) == 2 and tape.records == []
+        with pytest.raises(ContractError, match="already swept"):
+            ad.backward(loss)
+
+    def test_swept_step_leaves_no_garbage_cycle(self):
+        # a recorded tensor refers to its tape; the sweep must break that
+        # cycle so the step's arrays are freed without the collector
+        gc.collect()
+        gc.disable()
+        try:
+            x = Tensor(np.ones((4, 3)), requires_grad=True)
+            w = Tensor(np.ones((3, 2)), requires_grad=True)
+            with Tape():
+                loss = ad.tsum(ad.gelu(ad.matmul(x, w)))
+            ad.backward(loss)
+            del loss
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_no_recording_without_tape(self):
         x = Tensor(np.ones(3), requires_grad=True)

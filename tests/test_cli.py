@@ -174,6 +174,18 @@ class TestTrain:
         assert run(workdir, *args, "--resume", tmp_path / "bad.ckpt") == 1
         assert capsys.readouterr().err == "error: checkpoint metadata: 'rng_state' has no key 'seed'\n"
 
+    def test_resume_with_out_of_range_philox_state_is_one_error_line(self, workdir, tmp_path, capsys):
+        args = ("train", "--corpus", workdir / "train.tsv", "--vocab", workdir / "vocab.txt",
+                "--config", workdir / "tiny.cfg", "--out", tmp_path / "out.ckpt")
+        assert run(workdir, *args, "--save-train-state", tmp_path / "state.ckpt") == 0
+        meta, arrays = load_checkpoint(tmp_path / "state.ckpt")
+        meta["rng_state"]["bitgen"]["buffer_pos"] = -3
+        save_checkpoint(tmp_path / "bad.ckpt", meta, arrays)
+        capsys.readouterr()
+        assert run(workdir, *args, "--resume", tmp_path / "bad.ckpt") == 1
+        assert capsys.readouterr().err == ("error: checkpoint metadata: 'rng_state.bitgen.buffer_pos' "
+                                           "must be an int in 0-4, got -3\n")
+
 
 class TestEval:
     """Evaluation command and its JSON report."""

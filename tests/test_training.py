@@ -3,13 +3,15 @@
 import hashlib
 import io
 import json
+import platform
 import re
 
 import numpy as np
 import pytest
 
+import melbert
 from melbert.autodiff import Tensor
-from melbert.data import make_synthetic_corpus
+from melbert.data import Instance, make_synthetic_corpus
 from melbert.bpe import train_bpe
 from melbert.checkpoint import Blocks, load_checkpoint, save_checkpoint
 from melbert.encoder import EncoderConfig
@@ -216,6 +218,25 @@ class TestTrainingLoop:
         cfg = TrainConfig(epochs=2, batch_size=8, objective="mse")
         res = train_single(ModelConfig(encoder=enc), vocab, graded, cfg, seed=0)
         assert all(np.isfinite(v) for v in res.loss_curve)
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="only glibc's malloc is tuned")
+    def test_a_repeated_long_step_faults_few_pages(self):
+        # 16 sentences cut to max_len 150, beside their targets, pack 2,452
+        # rows: a step allocates and frees about 100 MB of intermediates,
+        # which the next step should find still mapped (about 10k faults
+        # when glibc trims them away)
+        import resource
+
+        assert melbert._keep_freed_memory()
+        words = tuple(t for inst in CORPUS for t in inst.tokens)
+        batch = [Instance(f"long{i}", words[8 * i:] + words[:8 * i], 60, float(i % 2), "VERB")
+                 for i in range(16)]
+        model_cfg = ModelConfig(encoder=EncoderConfig(vocab_size=len(VOCAB)))
+        cfg = TrainConfig(epochs=1, batch_size=16)
+        train_single(model_cfg, VOCAB, batch, cfg, seed=0)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        train_single(model_cfg, VOCAB, batch, cfg, seed=0)
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 1000
 
 
 class TestResume:
@@ -524,6 +545,11 @@ class TestMetadata:
         ("rng_state.stream", 5, "str, got 5"),
         ("rng_state.bitgen", 5, "a Philox state: state must be a dict"),
         ("rng_state.bitgen", {"bit_generator": "PCG64"}, "a Philox state: state must be for a Philox PRNG"),
+        ("rng_state.bitgen.buffer_pos", -3, "an int in 0-4, got -3"),
+        ("rng_state.bitgen.buffer_pos", 99, "an int in 0-4, got 99"),
+        ("rng_state.bitgen.buffer_pos", 2.0, "an int in 0-4, got 2.0"),
+        ("rng_state.bitgen.has_uint32", 2, "0 or 1, got 2"),
+        ("rng_state.bitgen.has_uint32", True, "0 or 1, got True"),
         ("epoch", 7, "at most train.epochs (2), got 7"),
     ])
     def test_wrongly_typed_top_level_value(self, ckpts, tmp_path, key, value, expected):
