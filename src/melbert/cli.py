@@ -20,6 +20,7 @@ import hashlib
 import json
 import os
 import sys
+from typing import Annotated
 
 from .bpe import Vocab, train_bpe
 from .data import Instance, first_rows, load_corpus, summarize
@@ -32,7 +33,7 @@ from .evaluation import (
     zero_shot_eval,
 )
 from .model import ModelConfig, Variant
-from .settings import Field, parse_text, plain, schema, type_label
+from .settings import Field, Range, Settings, Spec, check, parse_text, plain, schema
 from .training import (
     TrainConfig,
     bagging_cv_train,
@@ -47,10 +48,10 @@ class UsageError(Exception):
 
 
 @dataclasses.dataclass(frozen=True)
-class RunSettings:
+class RunSettings(Settings):
     """The settings of a run that no model or training config holds."""
-    seed: int = 0
-    k: int = 5  # folds of a cv run
+    seed: Annotated[int, Range()] = 0  # any int seeds its own streams
+    k: Annotated[int, Range(ge=2)] = 5  # folds of a cv run
 
 
 # every field of these classes is a setting, except those in _NOT_SETTINGS:
@@ -97,8 +98,11 @@ def resolve_settings(args) -> dict:
     if args.config:
         _require_file(args.config, "config file")
         settings.update(parse_config_file(args.config, args.command))
-    # a settings flag that was not given leaves no attribute
-    settings.update((key, getattr(args, key)) for key in keys if hasattr(args, key))
+    # a settings flag that was not given leaves no attribute; one that was
+    # has its declared type, and its domain is checked here
+    for key, f in keys.items():
+        if hasattr(args, key):
+            settings[key] = check(f.spec, getattr(args, key), "--" + key.replace("_", "-"))
     return settings
 
 
@@ -318,10 +322,12 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"usage error: {self.prog}: {message}\n")
 
 
-def _flag_type(hint):
+def _flag_type(s: Spec):
+    """A flag's value of its declared type; a value of the wrong type is
+    argparse's usage error, one outside the domain is reported by its user."""
     def parse(text: str):
         try:
-            return parse_text(hint, text)
+            return s.parse(text)
         except ConfigError as e:
             raise argparse.ArgumentTypeError(str(e)) from None
     return parse
@@ -332,8 +338,8 @@ def _add_settings_flags(p: argparse.ArgumentParser, command: str) -> None:
     p.add_argument("--config", help="file of key = value lines")
     for key, f in command_settings(command).items():
         # an absent flag sets nothing, so a config file value stands
-        p.add_argument("--" + key.replace("_", "-"), dest=key, type=_flag_type(f.hint),
-                       default=argparse.SUPPRESS, help=f"{type_label(f.hint)}; default {plain(f.default)}")
+        p.add_argument("--" + key.replace("_", "-"), dest=key, type=_flag_type(f.spec),
+                       default=argparse.SUPPRESS, help=f"{f.spec.label}; default {plain(f.default)}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -368,7 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--report", help="write the full report as JSON")
     p.add_argument("--breakdown", default="genre,pos")
-    p.add_argument("--threshold", type=float)
+    threshold = next(f.spec for f in schema(ModelConfig) if f.name == "threshold")
+    p.add_argument("--threshold", type=_flag_type(threshold), help=f"{threshold.label}; default: the checkpoint's")
     p.add_argument("--zero-shot", dest="zero_shot", action="store_true",
                    help="also report unknown-token exposure")
     p.set_defaults(func=cmd_eval)
@@ -408,10 +415,7 @@ def main(argv=None) -> int:
         parser.error(f"unrecognized arguments for {args.command}: {' '.join(extra)}")
     try:
         return args.func(args)
-    except UsageError as e:
-        print(f"usage error: {e}", file=sys.stderr)
-        return 2
-    except ConfigError as e:
+    except (UsageError, ConfigError) as e:
         # bad settings are operator mistakes, same class as bad flags
         print(f"usage error: {e}", file=sys.stderr)
         return 2

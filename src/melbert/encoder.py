@@ -23,7 +23,7 @@ the full-scale geometry (12/12/768) is reachable through the same config.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Annotated, Literal, Optional
 
 import numpy as np
 
@@ -33,29 +33,26 @@ from .errors import ConfigError, ContractError
 from .inputs import NUM_SEGMENTS, InputBatch
 from .params import Draw, Take
 from .rng import Rng
-from .settings import Settings
+from .settings import Range, Settings
 
 
 @dataclass(frozen=True)
 class EncoderConfig(Settings):
-    vocab_size: int
-    num_layers: int = 2
-    num_heads: int = 2
-    hidden_dim: int = 64
-    ffn_dim: int = 256
-    max_positions: int = 192
-    dropout: float = 0.2
-    init_std: float = 0.02
+    vocab_size: Annotated[int, Range(ge=1)]
+    num_layers: Annotated[int, Range(ge=1)] = 2
+    num_heads: Annotated[int, Range(ge=1)] = 2
+    hidden_dim: Annotated[int, Range(ge=1)] = 64
+    ffn_dim: Annotated[int, Range(ge=1)] = 256
+    max_positions: Annotated[int, Range(ge=1)] = 192
+    dropout: Annotated[float, Range(ge=0, lt=1)] = 0.2
+    init_std: Annotated[float, Range(gt=0)] = 0.02
 
     def __post_init__(self):
-        if min(self.vocab_size, self.num_layers, self.num_heads, self.hidden_dim, self.ffn_dim, self.max_positions) < 1:
-            raise ConfigError("all encoder dimensions must be positive")
+        super().__post_init__()
         if self.hidden_dim % self.num_heads != 0:
             raise ConfigError(
                 f"hidden_dim {self.hidden_dim} not divisible by num_heads {self.num_heads}"
             )
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError(f"dropout must lie in [0, 1), got {self.dropout}")
 
 
 @dataclass
@@ -67,7 +64,7 @@ class EncoderOutput:
     attentions: Optional[list[list[np.ndarray]]] = None  # per layer, per input [H, L, L]
 
 
-def pool_span(output: EncoderOutput, spans, pooling: str = "mean") -> Tensor:
+def pool_span(output: EncoderOutput, spans, pooling: Literal["mean", "cls"] = "mean") -> Tensor:
     """Span vectors [B, d]: each input's mean over its span, or its [CLS] row.
 
     ``spans`` holds one half-open (start, end) pair per input, counted
@@ -76,8 +73,6 @@ def pool_span(output: EncoderOutput, spans, pooling: str = "mean") -> Tensor:
     """
     if pooling == "cls":
         return output.cls
-    if pooling != "mean":
-        raise ConfigError(f"unknown pooling {pooling!r} (mean or cls)")
     B = len(output.lengths)
     spans = np.asarray(spans, dtype=np.int64)
     if spans.shape != (B, 2):

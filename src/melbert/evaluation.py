@@ -212,14 +212,6 @@ def render_table(rows: dict[str, MetricsReport], title: str = "") -> str:
 
 def report_to_json(report: EvalReport, config: dict, dataset_sha256: str) -> str:
     """Serialize a full evaluation with its provenance for later diffing."""
-    doc = {
-        "config": config,
-        "dataset_sha256": dataset_sha256,
-        "overall": report.overall.to_dict(),
-        "by_genre": {k: v.to_dict() for k, v in report.by_genre.items()},
-        "by_pos": {k: v.to_dict() for k, v in report.by_pos.items()},
-        "flags": dict(report.flags),
-        "skipped_genre": report.skipped_genre,
-    }
+    doc = {"config": config, "dataset_sha256": dataset_sha256, **report.to_dict()}
     return json.dumps(doc, indent=2, sort_keys=True)
 

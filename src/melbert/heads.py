@@ -129,8 +129,6 @@ def bce_loss(scores: Tensor, labels, pos_weight: float = 1.0) -> Tensor:
     Positives get pos_weight, negatives weight 1; predictions are clamped
     to [1e-12, 1 - 1e-12] before the logs.
     """
-    if pos_weight < 1.0:
-        raise ConfigError(f"pos_weight must be >= 1 (1 disables weighting), got {pos_weight}")
     y = np.asarray(labels, dtype=np.float64)
     if scores.ndim != 1 or y.shape != scores.shape:
         raise ContractError(f"scores {scores.shape} and labels {y.shape} must be equal-length vectors")

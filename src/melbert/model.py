@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Annotated, Literal, Optional
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from .autodiff import Tensor
 from .bpe import Vocab
 from .data import Instance
 from .encoder import Encoder, EncoderConfig, pool_span
-from .errors import ConfigError, ContractError
+from .errors import ContractError
 from .heads import combine_pair, combine_single, contrast_head, init_head_params, interaction_head
 from .inputs import (
     InputBatch,
@@ -45,7 +45,7 @@ from .inputs import (
 )
 from .params import Draw, Take
 from .rng import Rng
-from .settings import Settings
+from .settings import Range, Settings
 
 
 class Variant(str, Enum):
@@ -55,32 +55,16 @@ class Variant(str, Enum):
     BASE_ALL2ALL = "base_all2all"
     SEQ = "seq"
 
-    @classmethod
-    def parse(cls, name: str) -> "Variant":
-        try:
-            return cls(name.lower())
-        except ValueError:
-            raise ConfigError(
-                f"unknown variant {name!r} (choose from {[v.value for v in cls]})"
-            ) from None
-
 
 @dataclass(frozen=True)
 class ModelConfig(Settings):
     encoder: EncoderConfig
     variant: Variant = Variant.MELBERT
-    head_dim: Optional[int] = None      # None: same as encoder width
-    threshold: float = 0.5
-    target_pooling: str = "mean"        # "mean" over span, or "cls"
-    max_len: int = 150
-
-    def __post_init__(self):
-        if not 0.0 < self.threshold < 1.0:
-            raise ConfigError(f"threshold must lie in (0, 1), got {self.threshold}")
-        if self.target_pooling not in ("mean", "cls"):
-            raise ConfigError(f"target_pooling must be mean or cls, got {self.target_pooling!r}")
-        if self.max_len < 4:
-            raise ConfigError("max_len must allow [CLS], target, [SEP] and the POS marker")
+    head_dim: Optional[Annotated[int, Range(ge=1)]] = None  # None: same as encoder width
+    threshold: Annotated[float, Range(gt=0, lt=1)] = 0.5
+    target_pooling: Literal["mean", "cls"] = "mean"  # over the span, or the [CLS] row
+    # room for [CLS], the target, [SEP] and the POS marker
+    max_len: Annotated[int, Range(ge=4)] = 150
 
     @property
     def resolved_head_dim(self) -> int:

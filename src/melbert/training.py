@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Annotated, Callable, Literal, Optional
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .errors import ConfigError, ContractError, FormatError, TrainingDivergedErr
 from .heads import bce_loss, mse_loss
 from .model import MetaphorModel, ModelConfig, Prediction
 from .rng import Rng
-from .settings import Settings, check_keys
+from .settings import Range, Settings, check, check_keys, spec
 
 
 # Adam's moment decay rates and denominator guard
@@ -41,25 +41,23 @@ ADAM_EPS = 1e-8
 
 @dataclass(frozen=True)
 class TrainConfig(Settings):
-    epochs: int = 3
-    batch_size: int = 32
-    peak_lr: float = 3e-4
-    warmup_fraction: float = 2.0 / 3.0
-    pos_weight: float = 1.0
-    grad_clip: Optional[float] = None
-    objective: str = "bce"  # or "mse" for graded labels
+    epochs: Annotated[int, Range(ge=1)] = 3
+    batch_size: Annotated[int, Range(ge=1)] = 32
+    peak_lr: Annotated[float, Range(gt=0)] = 3e-4
+    warmup_fraction: Annotated[float, Range(gt=0, lt=1)] = 2.0 / 3.0
+    pos_weight: Annotated[float, Range(ge=1)] = 1.0  # 1 weights no class
+    grad_clip: Optional[Annotated[float, Range(gt=0)]] = None
+    objective: Literal["bce", "mse"] = "bce"  # mse for graded labels
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ConfigError("epochs and batch_size must be positive")
-        if not 0.0 < self.warmup_fraction < 1.0:
-            raise ConfigError(f"warmup_fraction must lie in (0, 1), got {self.warmup_fraction}")
-        if self.peak_lr <= 0:
-            raise ConfigError("peak_lr must be positive")
-        if self.objective not in ("bce", "mse"):
-            raise ConfigError(f"objective must be bce or mse, got {self.objective!r}")
-        if self.grad_clip is not None and self.grad_clip <= 0:
-            raise ConfigError("grad_clip must be positive when set")
+        super().__post_init__()
+        if self.objective == "mse" and self.pos_weight != 1.0:
+            raise ConfigError(f"'pos_weight' must be 1 under objective mse, which weights no class, "
+                              f"got {self.pos_weight!r}")
+
+
+# the domain of a step or epoch count
+Count = Annotated[int, Range(ge=0)]
 
 
 def lr_at(step: int, total_steps: int, cfg: TrainConfig) -> float:
@@ -135,16 +133,12 @@ class TrainResult:
     global_step: int
 
 
-def _loss_fn(cfg: TrainConfig) -> Callable:
-    if cfg.objective == "bce":
-        return lambda scores, labels: bce_loss(scores, labels, cfg.pos_weight)
-    return mse_loss
-
-
-def _train_labels(dataset, cfg: TrainConfig) -> np.ndarray:
-    if cfg.objective == "bce":
-        return np.array([float(i.gold) for i in dataset])
-    return np.array([i.label for i in dataset])
+def _objective(dataset, cfg: TrainConfig) -> tuple[Callable, np.ndarray]:
+    """The loss ``cfg.objective`` names, and the labels it reads: 0/1 gold for bce, graded for mse."""
+    if cfg.objective == "mse":
+        return mse_loss, np.array([i.label for i in dataset])
+    gold = np.array([float(i.gold) for i in dataset])
+    return (lambda scores, labels: bce_loss(scores, labels, cfg.pos_weight)), gold
 
 
 def _live_arrays(model: MetaphorModel) -> dict[str, np.ndarray]:
@@ -192,69 +186,58 @@ def _read_meta(meta) -> ModelConfig:
     reject, is a ``FormatError``: the file is at fault, not the caller's
     settings.
     """
-    if not isinstance(meta, dict) or "kind" not in meta:
-        raise FormatError("checkpoint metadata: the top level has no key 'kind'")
-    kind = meta["kind"]
-    if not isinstance(kind, str):
-        raise FormatError(f"checkpoint metadata: 'kind' must be str, got {kind!r}")
-    if kind not in _META_KEYS:
-        raise ContractError(f"checkpoint kind {kind!r} is not loadable as a model")
     try:
-        check_keys(meta, _META_KEYS[kind], "")
-        return ModelConfig.from_dict(meta["model"], "model")
+        if not isinstance(meta, dict) or "kind" not in meta:
+            raise ConfigError("the top level has no key 'kind'")
+        kind = check(spec(str), meta["kind"], "kind")
+        if kind in _META_KEYS:
+            check_keys(meta, _META_KEYS[kind], "")
+            return ModelConfig.from_dict(meta["model"], "model")
     except ConfigError as e:
         raise FormatError(f"checkpoint metadata: {e}") from e
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+    raise ContractError(f"checkpoint kind {kind!r} is not loadable as a model")
 
 
 def _read_run_state(meta) -> tuple[TrainConfig, Rng]:
     """The training config and the restored training stream of a training
-    checkpoint's metadata, which ``_read_meta`` has read. Each top-level
-    value a resume uses is type-checked, the stream's state must be one
-    Philox accepts with its buffer position in 0-4 and ``has_uint32`` 0 or
-    1, and ``epoch`` may not pass ``train.epochs``; a bad value is a
-    ``FormatError`` naming its key."""
+    checkpoint's metadata, which ``_read_meta`` has read. A value a resume
+    uses that is mistyped, outside its domain or at odds with the rest of
+    the run state is a ``FormatError`` naming its key."""
+    state = meta["rng_state"]
     try:
         cfg = TrainConfig.from_dict(meta["train"], "train")
-    except ConfigError as e:
-        raise FormatError(f"checkpoint metadata: {e}") from e
-    if not _is_int(meta["seed"]):
-        raise FormatError(f"checkpoint metadata: 'seed' must be int, got {meta['seed']!r}")
-    for key in ("epoch", "global_step", "adam_t"):
-        if not (_is_int(meta[key]) and meta[key] >= 0):
-            raise FormatError(f"checkpoint metadata: {key!r} must be a non-negative int, got {meta[key]!r}")
-    if meta["epoch"] > cfg.epochs:
-        raise FormatError(f"checkpoint metadata: 'epoch' must be at most train.epochs ({cfg.epochs}), "
-                          f"got {meta['epoch']!r}")
-    curve = meta["loss_curve"]
-    bad = [x for x in curve if not (_is_int(x) or isinstance(x, float))] if isinstance(curve, list) else [curve]
-    if bad:
-        raise FormatError(f"checkpoint metadata: 'loss_curve' must be a list of numbers, got {bad[0]!r}")
-    state = meta["rng_state"]
-    if not isinstance(state, dict):
-        raise FormatError(f"checkpoint metadata: 'rng_state' must be an object, got {state!r}")
-    try:
+        for key, hint in (("seed", int), ("epoch", Count), ("global_step", Count), ("adam_t", Count)):
+            check(spec(hint), meta[key], key)
+        if meta["epoch"] > cfg.epochs:
+            raise ConfigError(f"'epoch' must be at most train.epochs ({cfg.epochs}), got {meta['epoch']!r}")
+        curve = meta["loss_curve"]
+        bad = ([x for x in curve if isinstance(x, bool) or not isinstance(x, (int, float))]
+               if isinstance(curve, list) else [curve])
+        if bad:
+            raise ConfigError(f"'loss_curve' must be a list of numbers, got {bad[0]!r}")
+        if not isinstance(state, dict):
+            raise ConfigError(f"'rng_state' must be an object, got {state!r}")
         check_keys(state, ("seed", "stream", "bitgen"), "rng_state")
+        rng = Rng(check(spec(int), state["seed"], "rng_state.seed"),
+                  check(spec(str), state["stream"], "rng_state.stream"))
+        own_key = rng.state()["bitgen"]["state"]["key"]
+        try:
+            rng.set_state(state)
+        except (TypeError, ValueError, KeyError, IndexError, OverflowError) as e:
+            raise ConfigError(f"'rng_state.bitgen' must be a Philox state: {e}") from e
+        # numpy's setter takes any integer here, and a buffer position outside
+        # the four-word buffer then reads past it
+        for field, allowed, want in (("buffer_pos", range(5), "an int in 0-4"), ("has_uint32", (0, 1), "0 or 1")):
+            value = state["bitgen"][field]
+            if type(value) is not int or value not in allowed:
+                raise ConfigError(f"'rng_state.bitgen.{field}' must be {want}, got {value!r}")
+        # the setter also takes any key, which would resume onto another stream
+        key = rng.state()["bitgen"]["state"]["key"]
+        if key != own_key:
+            raise ConfigError("'rng_state.bitgen.state.key' must be the key of rng_state.seed and "
+                              f"rng_state.stream, got {key['__ndarray__']!r}")
     except ConfigError as e:
         raise FormatError(f"checkpoint metadata: {e}") from e
-    if not _is_int(state["seed"]):
-        raise FormatError(f"checkpoint metadata: 'rng_state.seed' must be int, got {state['seed']!r}")
-    if not isinstance(state["stream"], str):
-        raise FormatError(f"checkpoint metadata: 'rng_state.stream' must be str, got {state['stream']!r}")
-    rng = Rng(state["seed"], state["stream"])
-    try:
-        rng.set_state(state)
-    except (TypeError, ValueError, KeyError, IndexError, OverflowError) as e:
-        raise FormatError(f"checkpoint metadata: 'rng_state.bitgen' must be a Philox state: {e}") from e
-    # numpy's setter takes any integer here, and a buffer position outside
-    # the four-word buffer then reads past it
-    for field, allowed, want in (("buffer_pos", range(5), "an int in 0-4"), ("has_uint32", (0, 1), "0 or 1")):
-        value = state["bitgen"][field]
-        if not (_is_int(value) and value in allowed):
-            raise FormatError(f"checkpoint metadata: 'rng_state.bitgen.{field}' must be {want}, got {value!r}")
     return cfg, rng
 
 
@@ -360,8 +343,7 @@ def train_single(
         loss_curve = list(meta["loss_curve"])
 
     prepared = [model.build_inputs(i) for i in dataset]
-    labels = _train_labels(dataset, cfg)
-    loss_fn = _loss_fn(cfg)
+    loss_fn, labels = _objective(dataset, cfg)
     n = len(dataset)
     n_batches = (n + cfg.batch_size - 1) // cfg.batch_size
     total_steps = cfg.epochs * n_batches

@@ -186,6 +186,18 @@ class TestTrain:
         assert capsys.readouterr().err == ("error: checkpoint metadata: 'rng_state.bitgen.buffer_pos' "
                                            "must be an int in 0-4, got -3\n")
 
+    def test_resume_with_a_foreign_rng_key_is_one_error_line(self, workdir, tmp_path, capsys):
+        args = ("train", "--corpus", workdir / "train.tsv", "--vocab", workdir / "vocab.txt",
+                "--config", workdir / "tiny.cfg", "--out", tmp_path / "out.ckpt")
+        assert run(workdir, *args, "--save-train-state", tmp_path / "state.ckpt") == 0
+        meta, arrays = load_checkpoint(tmp_path / "state.ckpt")
+        meta["rng_state"]["bitgen"]["state"]["key"]["__ndarray__"] = [1, 2]
+        save_checkpoint(tmp_path / "bad.ckpt", meta, arrays)
+        capsys.readouterr()
+        assert run(workdir, *args, "--resume", tmp_path / "bad.ckpt") == 1
+        assert capsys.readouterr().err == ("error: checkpoint metadata: 'rng_state.bitgen.state.key' must be "
+                                           "the key of rng_state.seed and rng_state.stream, got [1, 2]\n")
+
 
 class TestEval:
     """Evaluation command and its JSON report."""
@@ -220,6 +232,15 @@ class TestEval:
                    "--breakdown", "genre,decade")
         assert code == 2
         assert "decade" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["1.5", "nan"])
+    def test_threshold_outside_its_domain(self, workdir, capsys, value):
+        code = run(workdir, "eval", "--corpus", workdir / "heldout.tsv",
+                   "--vocab", workdir / "vocab.txt",
+                   "--checkpoint", workdir / "model.ckpt", "--threshold", value)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"usage error: 'threshold' must be float > 0 and < 1, got {float(value)!r}\n"
 
     def test_zero_shot_flags(self, workdir, capsys):
         code = run(workdir, "eval", "--corpus", workdir / "heldout.tsv",
@@ -465,3 +486,61 @@ class TestRefusedSettings:
         assert exc.value.code == 2
         assert capsys.readouterr().err == (
             "usage error: melbert train: argument --head-dim: must be int or none, got '1.5'\n")
+
+
+# Settings values outside their declared domains, or refused by a rule across
+# settings; each must stop before training, with the usage exit code.
+OUT_OF_DOMAIN = [
+    ("train", "head_dim", ["--head-dim", "-3"]),
+    ("train", "head_dim", ["--head-dim", "0"]),
+    ("train", "grad_clip", ["--grad-clip", "nan"]),
+    ("train", "grad_clip", ["--grad-clip", "inf"]),
+    ("train", "pos_weight", ["--pos-weight", "5", "--objective", "mse"]),
+    ("train", "init_std", ["--init-std", "-1"]),
+    ("train", "peak_lr", ["--peak-lr", "nan"]),
+    ("train", "peak_lr", ["--peak-lr", "inf"]),
+    ("train", "pos_weight", ["--pos-weight", "inf"]),
+    ("train", "init_std", ["--init-std", "nan"]),
+    ("train", "threshold", ["--threshold", "nan"]),
+    ("train", "dropout", ["--dropout", "1"]),
+    ("cv", "k", ["--k", "1"]),
+]
+
+
+class TestOutOfDomainSettings:
+    """A value outside its setting's domain is one usage error naming the key, with exit 2."""
+
+    CASES = [(*case, False) for case in OUT_OF_DOMAIN] + [(*case, True) for case in OUT_OF_DOMAIN
+                                                          if case[0] == "train"]
+
+    @pytest.mark.parametrize("command, key, argv, dry_run", CASES,
+                             ids=[" ".join(argv + ["--dry-run"] * dry_run) for _, _, argv, dry_run in CASES])
+    def test_flag(self, workdir, capsys, command, key, argv, dry_run):
+        paths = {"train": ["--out", workdir / "never.ckpt"], "cv": ["--eval-corpus", workdir / "heldout.tsv"]}
+        line = [command, "--corpus", workdir / "train.tsv", "--vocab", workdir / "vocab.txt",
+                "--config", workdir / "tiny.cfg", *paths[command], *argv] + (["--dry-run"] if dry_run else [])
+        try:
+            code = run(workdir, *line)
+        except SystemExit as e:
+            code = e.code
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert key in err or "--" + key.replace("_", "-") in err
+
+    @pytest.mark.parametrize("key, text", [("head_dim", "0"), ("grad_clip", "nan"), ("k", "1")])
+    def test_config_file_line(self, tmp_path, key, text):
+        (tmp_path / "run.cfg").write_text(f"epochs = 1\n{key} = {text}\n")
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(tmp_path / 'run.cfg'))}:2: bad value for {key}: "
+                                              f"must be .*, got {text}$"):
+            parse_config_file(tmp_path / "run.cfg", "cv")
+
+    def test_help_prints_each_domain(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["cv", "--help"])
+        out = " ".join(capsys.readouterr().out.split())
+        for text in ("--head-dim HEAD_DIM int >= 1 or none; default None",
+                     "--dropout DROPOUT float >= 0 and < 1; default 0.2",
+                     "--target-pooling TARGET_POOLING one of mean, cls; default mean",
+                     "--k K int >= 2; default 5"):
+            assert text in out

@@ -11,7 +11,7 @@ from melbert.autodiff import Tape, Tensor
 from melbert.bpe import train_bpe
 from melbert.data import Instance, make_synthetic_corpus
 from melbert.encoder import EncoderConfig
-from melbert.errors import ConfigError, ContractError
+from melbert.errors import ContractError
 from melbert.heads import bce_loss, declared_head_param_count
 from melbert.model import MetaphorModel, ModelConfig, Prediction, Variant
 from melbert.rng import Rng
@@ -29,18 +29,6 @@ def make_model(vocab, variant=Variant.MELBERT, seed=0, **enc_kw):
     enc.update(enc_kw)
     cfg = ModelConfig(encoder=EncoderConfig(**enc), variant=variant)
     return MetaphorModel(cfg, vocab, seed=seed)
-
-
-class TestVariantParsing:
-    """Names to variants."""
-
-    def test_known(self):
-        assert Variant.parse("MELBERT") is Variant.MELBERT
-        assert Variant.parse("no_mip") is Variant.NO_MIP
-
-    def test_unknown(self):
-        with pytest.raises(ConfigError):
-            Variant.parse("bert_large")
 
 
 class TestScoring:

@@ -1,14 +1,15 @@
 """The shared config schema: JSON round trips, the strict reader, the text parser."""
 
 import dataclasses
-from typing import Optional
+from typing import Annotated, Literal, Optional
 
 import pytest
 
+from melbert.cli import RunSettings
 from melbert.encoder import EncoderConfig
 from melbert.errors import ConfigError
 from melbert.model import ModelConfig, Variant
-from melbert.settings import parse_text
+from melbert.settings import Range, parse_text, schema
 from melbert.training import TrainConfig
 
 ENCODER = EncoderConfig(vocab_size=50, num_layers=3, hidden_dim=32, dropout=0.1)
@@ -77,7 +78,7 @@ class TestStrictReader:
         ("max_len", None, "int"),
         ("threshold", False, "float"),
         ("threshold", "0.4", "float"),
-        ("target_pooling", 1, "str"),
+        ("target_pooling", 1, "one of mean, cls"),
         ("head_dim", 8.5, "int or none"),
         ("head_dim", "none", "int or none"),
         ("variant", "MELBERT", "one of melbert, no_mip, no_spv, base_all2all, seq"),
@@ -95,7 +96,7 @@ class TestStrictReader:
             ModelConfig.from_dict(d, "model")
 
     def test_int_read_as_float(self):
-        cfg = TrainConfig.from_dict(TRAIN.to_dict() | {"pos_weight": 2, "grad_clip": 3})
+        cfg = TrainConfig.from_dict(TRAIN.to_dict() | {"objective": "bce", "pos_weight": 2, "grad_clip": 3})
         assert (cfg.pos_weight, cfg.grad_clip) == (2.0, 3.0)
         assert type(cfg.pos_weight) is float and type(cfg.grad_clip) is float
 
@@ -103,7 +104,7 @@ class TestStrictReader:
         assert ModelConfig.from_dict(model_dict(head_dim=None), "model").head_dim is None
 
     def test_range_checks_still_apply(self):
-        with pytest.raises(ConfigError, match="threshold must lie in"):
+        with pytest.raises(ConfigError, match=r"^'model.threshold' must be float > 0 and < 1, got 1.5$"):
             ModelConfig.from_dict(model_dict(threshold=1.5), "model")
 
 
@@ -134,6 +135,56 @@ class TestParseText:
         with pytest.raises(ConfigError) as exc:
             parse_text(hint, text)
         assert str(exc.value) == f"must be {label}, got {text!r}"
+
+    @pytest.mark.parametrize("hint, text, message", [
+        (Annotated[int, Range(ge=1)], "0", "must be int >= 1, got 0"),
+        (Annotated[int, Range(ge=1)], "x", "must be int, got 'x'"),
+        (Optional[Annotated[int, Range(ge=1)]], "-3", "must be int >= 1 or none, got -3"),
+        (Annotated[float, Range(gt=0, lt=1)], "1", "must be float > 0 and < 1, got 1.0"),
+        (Annotated[float, Range(gt=0)], "nan", "must be float > 0, got nan"),
+        (Optional[Annotated[float, Range(gt=0)]], "inf", "must be float > 0 or none, got inf"),
+        (Annotated[float, Range()], "-inf", "must be float, got -inf"),
+        (Literal["mean", "cls"], "max", "must be one of mean, cls, got 'max'"),
+    ])
+    def test_out_of_domain_text(self, hint, text, message):
+        with pytest.raises(ConfigError) as exc:
+            parse_text(hint, text)
+        assert str(exc.value) == message
+
+
+class TestDomains:
+    """Each setting's domain is declared in its type and checked however a config is made."""
+
+    @pytest.mark.parametrize("cls", [EncoderConfig, ModelConfig, TrainConfig, RunSettings])
+    def test_every_number_declares_a_domain(self, cls):
+        for f in schema(cls):
+            if f.spec.base in (int, float):
+                assert isinstance(f.spec.domain, Range), f"{cls.__name__}.{f.name} declares no Range"
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: EncoderConfig(vocab_size=0), "'vocab_size' must be int >= 1, got 0"),
+        (lambda: EncoderConfig(vocab_size=9, init_std=-1.0), "'init_std' must be float > 0, got -1.0"),
+        (lambda: EncoderConfig(vocab_size=9, dropout=float("nan")), "'dropout' must be float >= 0 and < 1, got nan"),
+        (lambda: EncoderConfig(vocab_size=9, num_layers=True), "'num_layers' must be int, got True"),
+        (lambda: ModelConfig(encoder=ENCODER, head_dim=0), "'head_dim' must be int >= 1 or none, got 0"),
+        (lambda: ModelConfig(encoder=ENCODER, variant="seq"),
+         "'variant' must be one of melbert, no_mip, no_spv, base_all2all, seq, got 'seq'"),
+        (lambda: TrainConfig(grad_clip=float("inf")), "'grad_clip' must be float > 0 or none, got inf"),
+        (lambda: TrainConfig(objective="hinge"), "'objective' must be one of bce, mse, got 'hinge'"),
+        (lambda: TrainConfig(objective="mse", pos_weight=5.0),
+         "'pos_weight' must be 1 under objective mse, which weights no class, got 5.0"),
+        (lambda: RunSettings(k=1), "'k' must be int >= 2, got 1"),
+    ])
+    def test_direct_construction_is_checked(self, make, message):
+        with pytest.raises(ConfigError) as exc:
+            make()
+        assert str(exc.value) == message
+
+    def test_checkpoint_value_outside_domain_names_dotted_key(self):
+        d = model_dict()
+        d["encoder"]["hidden_dim"] = 0
+        with pytest.raises(ConfigError, match=r"^'model.encoder.hidden_dim' must be int >= 1, got 0$"):
+            ModelConfig.from_dict(d, "model")
 
 
 def test_configs_are_frozen_dataclasses():

@@ -84,6 +84,8 @@ class TestLrSchedule:
             TrainConfig(objective="hinge")
         with pytest.raises(ConfigError):
             TrainConfig(grad_clip=0.0)
+        with pytest.raises(ConfigError):
+            TrainConfig(pos_weight=0.5)
 
 
 class TestAdam:
@@ -533,10 +535,10 @@ class TestMetadata:
     @pytest.mark.parametrize("key, value, expected", [
         ("kind", [], "str, got []"),
         ("seed", False, "int, got False"),
-        ("epoch", "1", "a non-negative int, got '1'"),
-        ("epoch", -1, "a non-negative int, got -1"),
-        ("global_step", 3.0, "a non-negative int, got 3.0"),
-        ("adam_t", True, "a non-negative int, got True"),
+        ("epoch", "1", "int, got '1'"),
+        ("epoch", -1, "int >= 0, got -1"),
+        ("global_step", 3.0, "int, got 3.0"),
+        ("adam_t", True, "int, got True"),
         ("loss_curve", 5, "a list of numbers, got 5"),
         ("loss_curve", [0.5, "0.4"], "a list of numbers, got '0.4'"),
         ("loss_curve", [False], "a list of numbers, got False"),
