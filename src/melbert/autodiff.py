@@ -10,6 +10,8 @@ records once in reverse, accumulating into ``Tensor.grad``.
 Evaluation code simply runs without a tape: nothing is recorded and no
 graph memory accumulates.
 
+A ``Tensor`` has no arithmetic operators, so graphs are composed from
+this module's ops; ``t[idx]`` is the one shorthand, for ``getitem``.
 Besides the primitive ops, ``self_attention`` and ``feed_forward`` each
 run a whole transformer sublayer as one record with a hand-written
 backward. They share their numpy formulas with ``softmax``, ``gelu`` and
@@ -76,10 +78,6 @@ class Tensor:
     def ndim(self) -> int:
         return self.data.ndim
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ContractError(f"item() needs a single-element tensor, got shape {self.shape}")
@@ -88,51 +86,8 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    # operator sugar; all routing goes through the module-level ops
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
     def __getitem__(self, idx):
         return getitem(self, idx)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def transpose(self, axes=None):
-        return transpose(self, axes)
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
 
 
 def as_tensor(x) -> Tensor:
@@ -586,8 +541,8 @@ def _dropout_mask(shape, p: float, rng) -> np.ndarray:
 # fused transformer sublayers: one tape record each, hand-written backward
 
 
-def _length_groups(lengths: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(sequence indices [G], row indices [G, L]) per distinct length L, shortest first.
+def _length_groups(lengths: np.ndarray) -> list[np.ndarray]:
+    """Row indices [G, L] of the G sequences of each distinct length L, shortest first.
 
     The sequences lie end to end in a packed [T, ...] array, ``lengths[b]``
     rows each, in order.
@@ -596,15 +551,11 @@ def _length_groups(lengths: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     by_length: dict[int, list[int]] = {}
     for b, L in enumerate(lengths.tolist()):
         by_length.setdefault(L, []).append(b)
-    groups = []
-    for L in sorted(by_length):
-        which = np.array(by_length[L])
-        groups.append((which, offsets[which, None] + np.arange(L)))
-    return groups
+    return [offsets[np.array(by_length[L]), None] + np.arange(L) for L in sorted(by_length)]
 
 
 def self_attention(x, weights, lengths, num_heads: int, p: float = 0.0, training: bool = False,
-                   rng=None, keep: list | None = None) -> Tensor:
+                   rng=None) -> Tensor:
     """Multi-head self-attention sublayer over packed sequences.
 
     ``x`` is [T, d]: sequences of ``lengths`` rows each, packed end to end.
@@ -613,8 +564,7 @@ def self_attention(x, weights, lengths, num_heads: int, p: float = 0.0, training
     grouped by sequence length, so every row attends to exactly the rows
     of its own sequence, with no padding and no mask. In training,
     dropout at rate p applies to the attention probabilities and to the
-    output. If ``keep`` is a list, each sequence's attention
-    probabilities [H, L, L] (before dropout) are appended to it in order.
+    output.
     """
     x = as_tensor(x)
     weights = tuple(as_tensor(w) for w in weights)
@@ -633,21 +583,16 @@ def self_attention(x, weights, lengths, num_heads: int, p: float = 0.0, training
     qkv += np.concatenate([bq.data, bk.data, bv.data])
     ctx = np.empty((T, d))
     groups = []
-    kept = {}
-    for which, rows in _length_groups(lengths):
+    for rows in _length_groups(lengths):
         G, L = rows.shape
         q, k, v = qkv[rows].reshape(G, L, 3, heads, dh).transpose(2, 0, 3, 1, 4)  # [G, H, L, dh] each
         scores = q @ k.swapaxes(-1, -2)
         scores *= scale
         probs = _softmax(scores, -1)
-        if keep is not None:
-            kept.update(zip(which.tolist(), probs.copy()))
         mask = _dropout_mask(probs.shape, p, rng) if drop else None
         dropped = probs if mask is None else probs * mask
         ctx[rows] = (dropped @ v).transpose(0, 2, 1, 3).reshape(G, L, d)
         groups.append((rows, q, k, v, probs, mask, dropped))
-    if keep is not None:
-        keep.extend(kept[b] for b in range(len(lengths)))
     out = ctx @ wo.data
     out += bo.data
     out_mask = _dropout_mask(out.shape, p, rng) if drop else None

@@ -117,6 +117,15 @@ def build_configs(settings: dict, vocab_size: int) -> tuple[ModelConfig, TrainCo
     return model_cfg, TrainConfig(**pick(TrainConfig)), RunSettings(**pick(RunSettings))
 
 
+def refuse_inert(settings: dict) -> None:
+    """Refuse a model setting the variant ignores (``ablate`` trains every variant, so takes them)."""
+    variant = settings["variant"]
+    if settings["head_dim"] is not None and variant in (Variant.SEQ, Variant.BASE_ALL2ALL):
+        raise UsageError(f"variant {variant.value} has no MIP or SPV head, so head_dim does not apply")
+    if settings["target_pooling"] != "mean" and not variant.encodes_target:
+        raise UsageError(f"variant {variant.value} encodes no bare target, so target_pooling does not apply")
+
+
 def echo_settings(settings: dict) -> str:
     return "\n".join(f"{k} = {plain(settings[k])}" for k in sorted(settings))
 
@@ -158,6 +167,7 @@ def cmd_tokenizer_train(args) -> int:
 
 def cmd_train(args) -> int:
     settings = resolve_settings(args)
+    refuse_inert(settings)
     _require_file(args.corpus, "corpus")
     _require_file(args.vocab, "vocabulary")
     vocab = Vocab.load(args.vocab)
@@ -274,9 +284,9 @@ def cmd_ablate(args) -> int:
     vocab = Vocab.load(args.vocab)
     train_set = _load_instances(args.corpus)
     eval_set = _load_instances(args.eval_corpus)
-    os.makedirs(args.out_dir, exist_ok=True)
     sha = dataset_sha256(args.eval_corpus)
     model_cfg, train_cfg, run = build_configs(settings, len(vocab))
+    os.makedirs(args.out_dir, exist_ok=True)
 
     rows = {}
     for variant in Variant:
@@ -294,11 +304,15 @@ def cmd_ablate(args) -> int:
 
 def cmd_cv(args) -> int:
     settings = resolve_settings(args)
+    refuse_inert(settings)
     _require_file(args.corpus, "corpus")
     _require_file(args.eval_corpus, "evaluation corpus")
     _require_file(args.vocab, "vocabulary")
     vocab = Vocab.load(args.vocab)
     train_set = _load_instances(args.corpus)
+    sentences = len(first_rows(train_set))
+    if settings["k"] > sentences:
+        raise UsageError(f"k {settings['k']} exceeds the {sentences} distinct sentences of {args.corpus}")
     eval_set = _load_instances(args.eval_corpus)
     model_cfg, train_cfg, run = build_configs(settings, len(vocab))
     ensemble, results = bagging_cv_train(model_cfg, vocab, train_set, k=run.k, cfg=train_cfg, seed=run.seed)

@@ -66,15 +66,12 @@ class LoadResult:
     errors: list[RowError]
 
 
-def load_corpus(path, fmt: str = "vua-tsv") -> LoadResult:
+def load_corpus(path) -> LoadResult:
     """Read the tab-separated interchange format.
 
     Malformed rows are collected into the error report with their line
-    numbers rather than silently dropped; a wrong header or unknown
-    format fails outright.
+    numbers rather than silently dropped; a wrong header fails outright.
     """
-    if fmt != "vua-tsv":
-        raise ConfigError(f"unknown corpus format {fmt!r} (supported: vua-tsv)")
     with open(path, encoding="utf-8", newline="\n") as fh:
         lines = fh.read().split("\n")
     if not lines or lines[0] != HEADER:
@@ -258,14 +255,6 @@ class SyntheticSpec:
         return self.fields[fname][kind]
 
 
-def word_field(word: str, spec: SyntheticSpec) -> str | None:
-    """Which semantic field a word belongs to, if any."""
-    for fname, pools in spec.fields.items():
-        if word in pools["nouns"] or word in pools["verbs"]:
-            return fname
-    return None
-
-
 def make_synthetic_corpus(
     seed: int,
     n_sentences: int,
@@ -330,22 +319,6 @@ def make_synthetic_corpus(
             )
         )
     return out
-
-
-def oracle_label(instance: Instance, spec: SyntheticSpec | None = None) -> int:
-    """Rule-based reference: metaphorical iff any in-field context word
-    comes from a different field than the target word."""
-    spec = spec or SyntheticSpec()
-    target_field = word_field(instance.target_word, spec)
-    if target_field is None:
-        raise ContractError(f"target {instance.target_word!r} belongs to no semantic field")
-    for i, tok in enumerate(instance.tokens):
-        if i == instance.target_index:
-            continue
-        f = word_field(tok, spec)
-        if f is not None and f != target_field:
-            return 1
-    return 0
 
 
 def _split_pools(fields, take_first: bool):

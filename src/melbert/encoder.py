@@ -23,7 +23,7 @@ the full-scale geometry (12/12/768) is reachable through the same config.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Annotated, Literal, Optional
+from typing import Annotated, Literal
 
 import numpy as np
 
@@ -61,7 +61,6 @@ class EncoderOutput:
     positions: Tensor                # [T, d], one vector per input id, inputs packed end to end
     offsets: np.ndarray              # [B], first row of each input in ``positions``
     lengths: np.ndarray              # [B], row count of each input
-    attentions: Optional[list[list[np.ndarray]]] = None  # per layer, per input [H, L, L]
 
 
 def pool_span(output: EncoderOutput, spans, pooling: Literal["mean", "cls"] = "mean") -> Tensor:
@@ -124,7 +123,6 @@ class Encoder:
         *batches: InputBatch,
         mode: str = "eval",
         rng: Rng | None = None,
-        keep_attention: bool = False,
     ) -> list[EncoderOutput]:
         """One forward pass over ``batches`` packed end to end; an output per batch.
 
@@ -160,25 +158,14 @@ class Encoder:
         x = embedded[0] if len(embedded) == 1 else ad.concat(embedded, axis=0)
         x = ad.dropout(x, p, training, rng)
 
-        attentions: list[list[np.ndarray]] | None = [] if keep_attention else None
         for i in range(cfg.num_layers):
             attn = [P[f"layer{i}.attn.{proj}.{wb}"] for proj in "qkvo" for wb in "wb"]
-            kept = [] if attentions is not None else None
-            a = ad.self_attention(x, attn, lengths, cfg.num_heads, p, training, rng, kept)
-            if attentions is not None:
-                attentions.append(kept)
+            a = ad.self_attention(x, attn, lengths, cfg.num_heads, p, training, rng)
             x = ad.layer_norm(ad.add(x, a), P[f"layer{i}.ln1.g"], P[f"layer{i}.ln1.b"])
             h = ad.feed_forward(x, P[f"layer{i}.ffn.w1"], P[f"layer{i}.ffn.b1"],
                                 P[f"layer{i}.ffn.w2"], P[f"layer{i}.ffn.b2"], p, training, rng)
             x = ad.layer_norm(ad.add(x, h), P[f"layer{i}.ln2.g"], P[f"layer{i}.ln2.b"])
 
         blocks = [x] if len(batches) == 1 else ad.split(x, [len(batch.ids) for batch in batches])
-        outputs = []
-        first = 0  # index of the batch's first input among all inputs
-        for batch, rows in zip(batches, blocks):
-            B = len(batch.lengths)
-            own = None if attentions is None else [layer[first:first + B] for layer in attentions]
-            outputs.append(EncoderOutput(cls=rows[batch.offsets], positions=rows, offsets=batch.offsets,
-                                         lengths=batch.lengths, attentions=own))
-            first += B
-        return outputs
+        return [EncoderOutput(cls=rows[batch.offsets], positions=rows, offsets=batch.offsets, lengths=batch.lengths)
+                for batch, rows in zip(batches, blocks)]

@@ -55,6 +55,10 @@ class Variant(str, Enum):
     BASE_ALL2ALL = "base_all2all"
     SEQ = "seq"
 
+    @property
+    def encodes_target(self) -> bool:  # for its MIP head; only then does target_pooling apply
+        return self in (Variant.MELBERT, Variant.NO_SPV)
+
 
 @dataclass(frozen=True)
 class ModelConfig(Settings):
@@ -149,9 +153,7 @@ class MetaphorModel:
         if self.cfg.variant is Variant.BASE_ALL2ALL:
             return build_pair_input(inst, self.vocab, self.cfg.max_len), None
         sent = build_sentence_input(inst, self.vocab, self.cfg.max_len)
-        if self.cfg.variant in (Variant.SEQ, Variant.NO_MIP):
-            return sent, None  # neither looks at the isolated target
-        return sent, build_target_input(inst, self.vocab)
+        return sent, build_target_input(inst, self.vocab) if self.cfg.variant.encodes_target else None
 
     # -- scoring ---------------------------------------------------------
 
@@ -207,10 +209,9 @@ class MetaphorModel:
         variant = self.cfg.variant
         p = self.cfg.encoder.dropout
         training = mode == "train"
-        late = variant in (Variant.MELBERT, Variant.NO_SPV)  # the variants that read the isolated target
-        if late and any(t is None for t in tgts):
+        if variant.encodes_target and any(t is None for t in tgts):
             raise ContractError(f"variant {variant.value} needs a target input")
-        v_s, v_st, v_t = self._encode(sents, tgts if late else None, mode, rng)
+        v_s, v_st, v_t = self._encode(sents, tgts if variant.encodes_target else None, mode, rng)
 
         if variant is Variant.BASE_ALL2ALL:
             return combine_single(v_s, self.heads)

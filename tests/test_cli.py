@@ -340,6 +340,16 @@ class TestAblate:
         assert len(shas) == 1
         assert "variant comparison" in capsys.readouterr().out
 
+    def test_settings_error_leaves_no_out_dir(self, workdir, capsys):
+        out_dir = workdir / "never-made"
+        code = run(workdir, "ablate", "--corpus", workdir / "train.tsv",
+                   "--eval-corpus", workdir / "heldout.tsv",
+                   "--vocab", workdir / "vocab.txt",
+                   "--config", workdir / "tiny.cfg", "--out-dir", out_dir,
+                   "--pos-weight", "5", "--objective", "mse")
+        assert code == 2 and not out_dir.exists()
+        assert capsys.readouterr().err.startswith("usage error: ")
+
 
 class TestCv:
     """Bagged cross-validation command."""
@@ -355,6 +365,17 @@ class TestCv:
         assert "2-fold bagging" in capsys.readouterr().out
         doc = json.loads(report.read_text())
         assert doc["config"]["k"] == 2
+
+    def test_k_over_the_sentence_count_is_usage_error(self, workdir, capsys):
+        report = workdir / "never-cv.json"
+        code = run(workdir, "cv", "--corpus", workdir / "train.tsv",
+                   "--eval-corpus", workdir / "heldout.tsv",
+                   "--vocab", workdir / "vocab.txt",
+                   "--config", workdir / "tiny.cfg",
+                   "--k", "17", "--report", report)
+        out, err = capsys.readouterr()
+        assert code == 2 and out == "" and not report.exists()
+        assert err == f"usage error: k 17 exceeds the 16 distinct sentences of {workdir / 'train.tsv'}\n"
 
 
 class TestUsage:
@@ -544,3 +565,47 @@ class TestOutOfDomainSettings:
                      "--target-pooling TARGET_POOLING one of mean, cls; default mean",
                      "--k K int >= 2; default 5"):
             assert text in out
+
+
+# Model settings that a variant ignores, away from their defaults: a variant
+# with no MIP or SPV head has no head width, and one that encodes no bare
+# target pools none.
+INERT = [
+    ("seq", ["--head-dim", "8"]),
+    ("base_all2all", ["--head-dim", "8"]),
+    ("no_mip", ["--target-pooling", "cls"]),
+    ("seq", ["--target-pooling", "cls"]),
+    ("base_all2all", ["--target-pooling", "cls"]),
+]
+
+
+class TestInertSettings:
+    """train and cv refuse a setting their variant ignores; ablate, which trains every variant, takes it."""
+
+    @pytest.mark.parametrize("command", ["train", "cv"])
+    @pytest.mark.parametrize("variant, argv", INERT)
+    def test_refused_before_any_corpus_is_read(self, command, variant, argv, capsys):
+        # REQUIRED_ARGS names files that do not exist: reading one would be another error
+        code = main([command, *REQUIRED_ARGS[command], "--variant", variant, *argv])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        key = argv[0][2:].replace("-", "_")
+        assert err.startswith(f"usage error: variant {variant} ") and err.endswith(f", so {key} does not apply\n")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("variant, argv", [("melbert", ["--head-dim", "8", "--target-pooling", "cls"]),
+                                               ("no_spv", ["--head-dim", "8", "--target-pooling", "cls"]),
+                                               ("no_mip", ["--head-dim", "8"])])
+    def test_taken_where_the_variant_reads_it(self, workdir, variant, argv):
+        assert run(workdir, "train", "--corpus", workdir / "train.tsv", "--vocab", workdir / "vocab.txt",
+                   "--config", workdir / "tiny.cfg", "--out", workdir / "never.ckpt",
+                   "--variant", variant, *argv, "--dry-run") == 0
+
+    def test_ablate_takes_them(self, workdir, capsys):
+        out_dir = workdir / "ablation-inert"
+        code = run(workdir, "ablate", "--corpus", workdir / "train.tsv",
+                   "--eval-corpus", workdir / "heldout.tsv",
+                   "--vocab", workdir / "vocab.txt",
+                   "--config", workdir / "tiny.cfg", "--out-dir", out_dir,
+                   "--head-dim", "8", "--target-pooling", "cls")
+        assert code == 0 and len(os.listdir(out_dir)) == 5

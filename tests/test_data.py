@@ -11,16 +11,38 @@ from melbert.data import (
     load_corpus,
     make_synthetic_corpus,
     make_transfer_pair,
-    oracle_label,
     save_corpus,
     summarize,
-    word_field,
 )
 from melbert.errors import ConfigError, ContractError, FormatError
 
 
 def write_tsv(path, rows):
     path.write_text("\n".join([HEADER] + rows) + "\n", encoding="utf-8")
+
+
+def word_field(word: str, spec: SyntheticSpec) -> str | None:
+    """Which semantic field a word belongs to, if any."""
+    for fname, pools in spec.fields.items():
+        if word in pools["nouns"] or word in pools["verbs"]:
+            return fname
+    return None
+
+
+def oracle_label(instance: Instance, spec: SyntheticSpec | None = None) -> int:
+    """Rule-based reference: metaphorical iff any in-field context word
+    comes from a different field than the target word."""
+    spec = spec or SyntheticSpec()
+    target_field = word_field(instance.target_word, spec)
+    if target_field is None:
+        raise ContractError(f"target {instance.target_word!r} belongs to no semantic field")
+    for i, tok in enumerate(instance.tokens):
+        if i == instance.target_index:
+            continue
+        f = word_field(tok, spec)
+        if f is not None and f != target_field:
+            return 1
+    return 0
 
 
 class TestInstance:
@@ -56,12 +78,6 @@ class TestLoadCorpus:
         result = load_corpus(path)
         assert result.errors == []
         assert result.instances == instances
-
-    def test_unknown_format_rejected(self, tmp_path):
-        path = tmp_path / "c.tsv"
-        write_tsv(path, [])
-        with pytest.raises(ConfigError):
-            load_corpus(path, fmt="csv")
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "c.tsv"

@@ -139,19 +139,6 @@ class TestForward:
         b = enc.encode(one(inp), mode="eval")[0].positions.data
         assert a.tobytes() == b.tobytes()
 
-    def test_attention_rows_are_distributions(self, vocab):
-        enc = Encoder(small_cfg(vocab), Draw(Rng(2, "init")))
-        inputs = [sentence_input(vocab), sentence_input(vocab, tokens=("the", "big", "cat", "sat"), target=2)]
-        (out,) = enc.encode(InputBatch.stack(inputs), keep_attention=True)
-        assert len(out.attentions) == 2  # one per layer
-        for layer in out.attentions:
-            assert len(layer) == len(inputs)  # one per packed input
-            for a, inp in zip(layer, inputs):
-                L = len(inp.ids)
-                assert a.shape == (2, L, L)  # heads, each row over its own input only
-                assert (a >= 0).all()
-                np.testing.assert_allclose(a.sum(axis=-1), np.ones(a.shape[:2]), atol=1e-6)
-
     def test_target_input_ignores_position_and_segment_tables(self, vocab):
         enc = Encoder(small_cfg(vocab), Draw(Rng(4, "init")))
         inst = Instance("s", ("the", "cat"), 1, 0.0, "NOUN")
@@ -219,11 +206,9 @@ class TestPackedKinds:
         enc = Encoder(small_cfg(vocab), Draw(Rng(12, "init")))
         sents = InputBatch.stack([sentence_input(vocab), sentence_input(vocab, tokens=("the",), target=0)])
         tgts = InputBatch.stack([build_target_input(Instance("t", ("dog",), 0, 0.0, "NOUN"), vocab)])
-        out_s, out_t = enc.encode(sents, tgts, keep_attention=True)
+        out_s, out_t = enc.encode(sents, tgts)
         assert out_s.positions.shape == (len(sents.ids), 16) and out_t.positions.shape == (len(tgts.ids), 16)
         assert out_s.cls.shape == (2, 16) and out_t.cls.shape == (1, 16)
-        assert [len(layer) for layer in out_s.attentions] == [2, 2]
-        assert [a.shape for layer in out_t.attentions for a in layer] == [(2, 5, 5)] * 2
 
     def test_no_batch_rejected(self, vocab):
         with pytest.raises(ContractError):
