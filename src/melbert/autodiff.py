@@ -15,7 +15,9 @@ this module's ops; ``t[idx]`` is the one shorthand, for ``getitem``.
 Besides the primitive ops, ``self_attention`` and ``feed_forward`` each
 run a whole transformer sublayer as one record with a hand-written
 backward. They share their numpy formulas with ``softmax``, ``gelu`` and
-``dropout``.
+``dropout``. Each dropout draws its masks from the ``rng`` it is given,
+so a training pass is the one given a dropout stream; without one,
+dropout is the identity.
 """
 
 from __future__ import annotations
@@ -508,10 +510,10 @@ def sigmoid(a) -> Tensor:
     return _make(out, (a,), bw)
 
 
-def dropout(a, p: float, training: bool, rng=None) -> Tensor:
-    """Inverted dropout: survivors scaled by 1/(1-p); identity at eval."""
+def dropout(a, p: float, rng=None) -> Tensor:
+    """Inverted dropout: survivors scaled by 1/(1-p); identity without an rng."""
     a = as_tensor(a)
-    if not _drops(p, training, rng):
+    if not _drops(p, rng):
         return a
     mask = _dropout_mask(a.data.shape, p, rng)
 
@@ -521,15 +523,11 @@ def dropout(a, p: float, training: bool, rng=None) -> Tensor:
     return _make(a.data * mask, (a,), bw)
 
 
-def _drops(p: float, training: bool, rng) -> bool:
-    """Whether dropout at rate p applies; rejects a bad rate, or training without an rng."""
+def _drops(p: float, rng) -> bool:
+    """Whether dropout at rate p applies: a nonzero rate and an rng; rejects a bad rate."""
     if not 0.0 <= p < 1.0:
         raise ConfigError(f"dropout rate must lie in [0, 1), got {p}")
-    if not training or p == 0.0:
-        return False
-    if rng is None:
-        raise ContractError("dropout in training mode needs an rng")
-    return True
+    return rng is not None and p != 0.0
 
 
 def _dropout_mask(shape, p: float, rng) -> np.ndarray:
@@ -554,15 +552,14 @@ def _length_groups(lengths: np.ndarray) -> list[np.ndarray]:
     return [offsets[np.array(by_length[L]), None] + np.arange(L) for L in sorted(by_length)]
 
 
-def self_attention(x, weights, lengths, num_heads: int, p: float = 0.0, training: bool = False,
-                   rng=None) -> Tensor:
+def self_attention(x, weights, lengths, num_heads: int, p: float = 0.0, rng=None) -> Tensor:
     """Multi-head self-attention sublayer over packed sequences.
 
     ``x`` is [T, d]: sequences of ``lengths`` rows each, packed end to end.
     ``weights`` is (wq, bq, wk, bk, wv, bv, wo, bo), [d, d] matrices and [d]
     biases for the query, key, value and output projections. Rows are
     grouped by sequence length, so every row attends to exactly the rows
-    of its own sequence, with no padding and no mask. In training,
+    of its own sequence, with no padding and no mask. Given an ``rng``,
     dropout at rate p applies to the attention probabilities and to the
     output.
     """
@@ -575,7 +572,7 @@ def self_attention(x, weights, lengths, num_heads: int, p: float = 0.0, training
         raise ContractError(f"sequence lengths {lengths.tolist()} do not partition {T} rows")
     if d % num_heads != 0:
         raise DimensionError(f"width {d} not divisible by {num_heads} heads")
-    drop = _drops(p, training, rng)
+    drop = _drops(p, rng)
     heads, dh = num_heads, d // num_heads
     scale = 1.0 / math.sqrt(dh)
     w_qkv = np.concatenate([wq.data, wk.data, wv.data], axis=1)
@@ -625,14 +622,14 @@ def self_attention(x, weights, lengths, num_heads: int, p: float = 0.0, training
     return _make(out, (x, *weights), bw)
 
 
-def feed_forward(x, w1, b1, w2, b2, p: float = 0.0, training: bool = False, rng=None) -> Tensor:
+def feed_forward(x, w1, b1, w2, b2, p: float = 0.0, rng=None) -> Tensor:
     """Position-wise feed-forward sublayer: linear, GELU, linear, then dropout.
 
-    ``x`` is [N, d], ``w1`` [d, f] and ``w2`` [f, d]. In training, dropout
-    at rate p applies to the output.
+    ``x`` is [N, d], ``w1`` [d, f] and ``w2`` [f, d]. Given an ``rng``,
+    dropout at rate p applies to the output.
     """
     x, w1, b1, w2, b2 = (as_tensor(t) for t in (x, w1, b1, w2, b2))
-    drop = _drops(p, training, rng)
+    drop = _drops(p, rng)
     h = x.data @ w1.data
     h += b1.data
     a, t = _gelu(h)

@@ -24,8 +24,7 @@ view outlives the ``with`` block, so a later save or a truncation of the
 file cannot fault an array in use. Building a model
 (``training.load_model``) looks up only the model's own blocks and
 copies each into its parameter once; the Adam moments of a training
-checkpoint are read only on a resume. ``load_checkpoint`` copies every
-block, for callers that want the whole file as plain arrays.
+checkpoint are read only on a resume.
 """
 
 from __future__ import annotations
@@ -114,12 +113,6 @@ def open_checkpoint(path) -> Iterator[tuple[dict, Blocks]]:
         raise
     yield meta, Blocks(buf, index)
     buf.close()
-
-
-def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
-    """Metadata and arrays of a checkpoint file; each array is a copy of its block."""
-    with open_checkpoint(path) as (meta, blocks):
-        return meta, {name: np.array(blocks[name]) for name in blocks}
 
 
 def _frame(buf: mmap.mmap) -> tuple[dict, dict[str, tuple[int, tuple[int, ...]]]]:

@@ -170,6 +170,8 @@ def cmd_train(args) -> int:
     refuse_inert(settings)
     _require_file(args.corpus, "corpus")
     _require_file(args.vocab, "vocabulary")
+    if args.resume:
+        _require_file(args.resume, "resume checkpoint")
     vocab = Vocab.load(args.vocab)
     instances = _load_instances(args.corpus)
     model_cfg, train_cfg, run = build_configs(settings, len(vocab))
@@ -255,6 +257,9 @@ def cmd_predict(args) -> int:
     _require_file(args.checkpoint, "checkpoint")
     _require_file(args.vocab, "vocabulary")
     vocab = Vocab.load(args.vocab)
+    if args.pos_tag not in vocab.pos_tags:
+        raise UsageError(f"--pos-tag {args.pos_tag!r} has no marker in the vocabulary; "
+                         f"its tags are {', '.join(vocab.pos_tags)}")
     model = load_model(args.checkpoint, vocab)
     tokens = tuple(args.sentence.split())
     if not 0 <= args.target_index < len(tokens):

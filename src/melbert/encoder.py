@@ -14,7 +14,9 @@ is embedded on its own; dropouts, layer norms and feed-forward layers
 then run once over all T rows; inside the attention op, rows are
 grouped by sequence length so each row attends only to its own
 sequence, with no padding and no mask. Each attention and feed-forward
-sublayer is one tape record. A single instance is a batch of one.
+sublayer is one tape record. A single instance is a batch of one. A
+pass given an ``rng`` is a training pass: its dropouts draw their masks
+from it. Without one, no dropout applies.
 
 Desk-scale defaults (2 layers, 2 heads, width 64) keep every test fast;
 the full-scale geometry (12/12/768) is reachable through the same config.
@@ -118,25 +120,15 @@ class Encoder:
             ones(f"layer{i}.ln2.g", (d,))
             zeros(f"layer{i}.ln2.b", (d,))
 
-    def encode(
-        self,
-        *batches: InputBatch,
-        mode: str = "eval",
-        rng: Rng | None = None,
-    ) -> list[EncoderOutput]:
+    def encode(self, *batches: InputBatch, rng: Rng | None = None) -> list[EncoderOutput]:
         """One forward pass over ``batches`` packed end to end; an output per batch.
 
         Each batch is embedded by its kind, the embeddings are joined in
         batch order, and every layer runs once over the joined rows.
         Attention keeps each input's rows to themselves, so an input's
         vectors do not depend on what else shares the pass. Each output
-        holds its own batch's rows only.
+        holds its own batch's rows only. Dropout applies only given ``rng``.
         """
-        if mode not in ("train", "eval"):
-            raise ContractError(f"mode must be train or eval, got {mode!r}")
-        training = mode == "train"
-        if training and rng is None:
-            raise ContractError("training-mode encode needs an rng for dropout")
         if not batches:
             raise ContractError("encode needs at least one input batch")
         cfg = self.cfg
@@ -156,14 +148,14 @@ class Encoder:
                 x = ad.add(x, ad.embedding(P["emb.seg"], batch.segments))
             embedded.append(x)
         x = embedded[0] if len(embedded) == 1 else ad.concat(embedded, axis=0)
-        x = ad.dropout(x, p, training, rng)
+        x = ad.dropout(x, p, rng)
 
         for i in range(cfg.num_layers):
             attn = [P[f"layer{i}.attn.{proj}.{wb}"] for proj in "qkvo" for wb in "wb"]
-            a = ad.self_attention(x, attn, lengths, cfg.num_heads, p, training, rng)
+            a = ad.self_attention(x, attn, lengths, cfg.num_heads, p, rng)
             x = ad.layer_norm(ad.add(x, a), P[f"layer{i}.ln1.g"], P[f"layer{i}.ln1.b"])
             h = ad.feed_forward(x, P[f"layer{i}.ffn.w1"], P[f"layer{i}.ffn.b1"],
-                                P[f"layer{i}.ffn.w2"], P[f"layer{i}.ffn.b2"], p, training, rng)
+                                P[f"layer{i}.ffn.w2"], P[f"layer{i}.ffn.b2"], p, rng)
             x = ad.layer_norm(ad.add(x, h), P[f"layer{i}.ln2.g"], P[f"layer{i}.ln2.b"])
 
         blocks = [x] if len(batches) == 1 else ad.split(x, [len(batch.ids) for batch in batches])

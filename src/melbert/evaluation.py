@@ -11,7 +11,7 @@ the condition is recorded in the report's flags.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -32,13 +32,6 @@ class MetricsReport:
     f1: float
     n: int
     flags: list[str] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "tp": self.tp, "fp": self.fp, "fn": self.fn, "tn": self.tn,
-            "precision": self.precision, "recall": self.recall, "f1": self.f1,
-            "n": self.n, "flags": list(self.flags),
-        }
 
 
 def score_predictions(predicted: list[int], gold: list[int]) -> MetricsReport:
@@ -100,15 +93,6 @@ class EvalReport:
     by_pos: dict[str, MetricsReport]
     skipped_genre: int = 0
     flags: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "overall": self.overall.to_dict(),
-            "by_genre": {k: v.to_dict() for k, v in self.by_genre.items()},
-            "by_pos": {k: v.to_dict() for k, v in self.by_pos.items()},
-            "skipped_genre": self.skipped_genre,
-            "flags": dict(self.flags),
-        }
 
 
 def evaluate_model(model, instances: list[Instance]) -> EvalReport:
@@ -212,6 +196,6 @@ def render_table(rows: dict[str, MetricsReport], title: str = "") -> str:
 
 def report_to_json(report: EvalReport, config: dict, dataset_sha256: str) -> str:
     """Serialize a full evaluation with its provenance for later diffing."""
-    doc = {"config": config, "dataset_sha256": dataset_sha256, **report.to_dict()}
+    doc = {"config": config, "dataset_sha256": dataset_sha256, **asdict(report)}
     return json.dumps(doc, indent=2, sort_keys=True)
 

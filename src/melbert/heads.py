@@ -88,27 +88,24 @@ def declared_head_param_count(variant: str, hidden_dim: int, head_dim: int) -> i
     raise ConfigError(f"unknown variant {variant!r}")
 
 
-def _pair_mlp(a: Tensor, b: Tensor, w: Tensor, bias: Tensor,
-              dropout_p: float, training: bool, rng) -> Tensor:
+def _pair_mlp(a: Tensor, b: Tensor, w: Tensor, bias: Tensor, dropout_p: float, rng) -> Tensor:
     if a.shape != b.shape or a.ndim != 2:
         raise DimensionError(f"head inputs must be equal-shape [B, d] rows, got {a.shape} and {b.shape}")
     if w.shape[0] != 2 * a.shape[1]:
         raise DimensionError(f"head weight expects input {w.shape[0]}, got 2x{a.shape[1]}")
     z = ad.concat([a, b], axis=1)
     out = ad.gelu(ad.add(ad.matmul(z, w), bias))
-    return ad.dropout(out, dropout_p, training, rng)
+    return ad.dropout(out, dropout_p, rng)
 
 
-def interaction_head(v_st: Tensor, v_t: Tensor, hp: HeadParams,
-                     dropout_p: float = 0.0, training: bool = False, rng=None) -> Tensor:
+def interaction_head(v_st: Tensor, v_t: Tensor, hp: HeadParams, dropout_p: float = 0.0, rng=None) -> Tensor:
     """Compare each in-context target vector against its isolated encoding."""
-    return _pair_mlp(v_st, v_t, hp.f_w, hp.f_b, dropout_p, training, rng)
+    return _pair_mlp(v_st, v_t, hp.f_w, hp.f_b, dropout_p, rng)
 
 
-def contrast_head(v_s: Tensor, v_st: Tensor, hp: HeadParams,
-                  dropout_p: float = 0.0, training: bool = False, rng=None) -> Tensor:
+def contrast_head(v_s: Tensor, v_st: Tensor, hp: HeadParams, dropout_p: float = 0.0, rng=None) -> Tensor:
     """Compare each sentence vector against its in-context target vector."""
-    return _pair_mlp(v_s, v_st, hp.g_w, hp.g_b, dropout_p, training, rng)
+    return _pair_mlp(v_s, v_st, hp.g_w, hp.g_b, dropout_p, rng)
 
 
 def combine_pair(h_f: Tensor, h_g: Tensor, hp: HeadParams) -> Tensor:

@@ -15,9 +15,11 @@ the pass each input attends only to its own rows, so a target is still
 encoded free of context. Training scores a whole batch under one tape;
 a prediction is a batch of one.
 
-Because a target's encoding sees no context, its vector depends only on
-the target's sub-token ids, so evaluation caches it per id sequence and
-encodes only the misses. Any parameter update invalidates the cache.
+A pass given an ``rng`` is a training pass: every dropout draws its mask
+from it, and every target is encoded. A pass without one applies no
+dropout, so a target's vector depends only on its sub-token ids; such a
+pass caches it per id sequence and encodes only the misses. Any
+parameter update invalidates the cache.
 """
 
 from __future__ import annotations
@@ -157,19 +159,20 @@ class MetaphorModel:
 
     # -- scoring ---------------------------------------------------------
 
-    def _encode(self, sents: list[SentenceInput], tgts: Optional[list[TargetInput]], mode: str, rng):
+    def _encode(self, sents: list[SentenceInput], tgts: Optional[list[TargetInput]], rng: Rng | None):
         """One encoder pass over the batch's sentences and the targets it must encode.
 
         Returns [B, d] tensors: v_s (each sentence's [CLS] row), v_st (its
         mean over the target span) and v_t (the isolated target vectors,
-        None when ``tgts`` is None). Training encodes every target. Eval
-        encodes each distinct uncached id sequence once and caches it;
-        every other row, a cached target or a repeat within the batch,
-        counts as a cache hit, so the counters match scoring one by one.
+        None when ``tgts`` is None). A pass given ``rng`` encodes every
+        target and leaves the cache alone. A pass without one encodes
+        each distinct uncached id sequence once and caches it; every
+        other row, a cached target or a repeat within the batch, counts
+        as a cache hit, so the counters match scoring one by one.
         """
         cached: dict[tuple[int, ...], np.ndarray] = {}
         fresh = tgts or []
-        if tgts and mode == "eval":
+        if tgts and rng is None:
             distinct = {tgt.ids: tgt for tgt in tgts}  # first-seen order
             cached = {ids: self._target_cache[ids] for ids in distinct if ids in self._target_cache}
             fresh = [tgt for ids, tgt in distinct.items() if ids not in cached]
@@ -178,13 +181,13 @@ class MetaphorModel:
         self.counters.target += len(fresh)
 
         batches = [InputBatch.stack(sents)] + ([InputBatch.stack(fresh)] if fresh else [])
-        outputs = self.encoder.encode(*batches, mode=mode, rng=rng)
+        outputs = self.encoder.encode(*batches, rng=rng)
         v_s = pool_span(outputs[0], batches[0].spans, "cls")
         v_st = pool_span(outputs[0], batches[0].spans, "mean")
         if tgts is None:
             return v_s, v_st, None
         encoded = pool_span(outputs[1], batches[1].spans, self.cfg.target_pooling) if fresh else None
-        if mode != "eval":
+        if rng is not None:
             return v_s, v_st, encoded
         parts = []
         if fresh:
@@ -200,40 +203,39 @@ class MetaphorModel:
         self,
         sents: list[SentenceInput],
         tgts: list[Optional[TargetInput]],
-        mode: str = "eval",
         rng: Rng | None = None,
     ) -> Tensor:
-        """[B] scores in (0, 1) for B prepared instances, in input order."""
+        """[B] scores in (0, 1) for B prepared instances, in input order;
+        a training pass, with dropout, when given ``rng``."""
         if not sents or len(sents) != len(tgts):
             raise ContractError(f"need a non-empty batch of aligned inputs, got {len(sents)} and {len(tgts)}")
         variant = self.cfg.variant
         p = self.cfg.encoder.dropout
-        training = mode == "train"
         if variant.encodes_target and any(t is None for t in tgts):
             raise ContractError(f"variant {variant.value} needs a target input")
-        v_s, v_st, v_t = self._encode(sents, tgts if variant.encodes_target else None, mode, rng)
+        v_s, v_st, v_t = self._encode(sents, tgts if variant.encodes_target else None, rng)
 
         if variant is Variant.BASE_ALL2ALL:
             return combine_single(v_s, self.heads)
         if variant is Variant.SEQ:
             return combine_single(v_st, self.heads)
         if variant is Variant.NO_MIP:
-            h_g = contrast_head(v_s, v_st, self.heads, p, training, rng)
+            h_g = contrast_head(v_s, v_st, self.heads, p, rng)
             return combine_single(h_g, self.heads)
 
-        h_f = interaction_head(v_st, v_t, self.heads, p, training, rng)
+        h_f = interaction_head(v_st, v_t, self.heads, p, rng)
         if variant is Variant.NO_SPV:
             return combine_single(h_f, self.heads)
-        h_g = contrast_head(v_s, v_st, self.heads, p, training, rng)
+        h_g = contrast_head(v_s, v_st, self.heads, p, rng)
         return combine_pair(h_f, h_g, self.heads)
 
-    def score_instance(self, inst: Instance, mode: str = "eval", rng: Rng | None = None) -> Tensor:
+    def score_instance(self, inst: Instance, rng: Rng | None = None) -> Tensor:
         """[1] score for one instance: a batch of one."""
         sent, tgt = self.build_inputs(inst)
-        return self.score_batch([sent], [tgt], mode, rng)
+        return self.score_batch([sent], [tgt], rng)
 
     def predict(self, inst: Instance) -> Prediction:
-        score = self.score_instance(inst, mode="eval").item()
+        score = self.score_instance(inst).item()
         return Prediction(score=score, label=int(score >= self.cfg.threshold))
 
 

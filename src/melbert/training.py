@@ -355,7 +355,7 @@ def train_single(
             idx = perm[b * cfg.batch_size : (b + 1) * cfg.batch_size]
             with Tape():
                 scores = model.score_batch([prepared[j][0] for j in idx], [prepared[j][1] for j in idx],
-                                           mode="train", rng=train_rng)
+                                           rng=train_rng)
                 loss = loss_fn(scores, labels[idx])
             loss_value = loss.item()
             if not np.isfinite(loss_value):

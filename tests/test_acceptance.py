@@ -84,8 +84,7 @@ def test_criterion_01_full_model_gradient_fidelity():
                 else:
                     setattr(model.heads, n[5:].replace(".", "_"), t)
             # one batch: ids of lengths 10, 12 and 12, the target "sail" twice
-            scores = model.score_batch([s for s, _ in prepared], [g for _, g in prepared],
-                                       mode="eval")
+            scores = model.score_batch([s for s, _ in prepared], [g for _, g in prepared])
             return bce_loss(scores, labels, pos_weight=2.0)
 
         model._target_cache = _NoCache()

@@ -138,26 +138,26 @@ class TestDropout:
 
     def test_eval_is_identity(self):
         x = Tensor(np.arange(6.0))
-        out = ad.dropout(x, 0.2, training=False)
+        out = ad.dropout(x, 0.2)
         np.testing.assert_array_equal(out.data, x.data)
 
     def test_survival_rate(self):
         rng = Rng(0, "droptest")
         x = Tensor(np.ones(100_000))
-        out = ad.dropout(x, 0.2, training=True, rng=rng).data
+        out = ad.dropout(x, 0.2, rng=rng).data
         survived = (out != 0).mean()
         assert abs(survived - 0.8) < 0.01
 
     def test_survivors_rescaled(self):
         rng = Rng(1, "droptest")
-        out = ad.dropout(Tensor(np.ones(1000)), 0.2, training=True, rng=rng).data
+        out = ad.dropout(Tensor(np.ones(1000)), 0.2, rng=rng).data
         kept = out[out != 0]
         np.testing.assert_allclose(kept, 1.0 / 0.8, atol=1e-12)
 
     @pytest.mark.parametrize("p", [1.0, 1.5, -0.1])
     def test_rate_out_of_range(self, p):
         with pytest.raises(ConfigError):
-            ad.dropout(Tensor(np.ones(3)), p, training=True, rng=Rng(0))
+            ad.dropout(Tensor(np.ones(3)), p, rng=Rng(0))
 
 
 class TestGradientChecks:
@@ -301,7 +301,7 @@ class TestGradientChecks:
         # so central differences see a fixed (masked, scaled) linear map
         w = self.rng.standard_normal(40)
         self._probe(
-            lambda x: ad.tsum(ad.mul(ad.dropout(x, 0.3, True, Rng(7, "fdmask")), Tensor(w))),
+            lambda x: ad.tsum(ad.mul(ad.dropout(x, 0.3, Rng(7, "fdmask")), Tensor(w))),
             [self.rng.standard_normal(40)],
         )
 
@@ -351,8 +351,8 @@ class TestFusedSublayers:
                 self.rng.standard_normal(f) * 0.5, self.rng.standard_normal((f, d)) * 0.5,
                 self.rng.standard_normal(d) * 0.5]
 
-    def attention(self, lengths, p=0.0, training=False, rng=None):
-        return lambda x, *w: ad.self_attention(x, w, lengths, self.HEADS, p, training, rng)
+    def attention(self, lengths, p=0.0, rng=None):
+        return lambda x, *w: ad.self_attention(x, w, lengths, self.HEADS, p, rng)
 
     def reference(self, lengths):
         return lambda x, *w: attention_by_primitives(x, w, lengths, self.HEADS)
@@ -386,10 +386,10 @@ class TestFusedSublayers:
         check_grads(lambda *a: ad.tsum(ad.mul(attn(*a), Tensor(w))),
                     self.attention_arrays(T), n_probes=150, rng=self.rng)
         check_grads(lambda *a: ad.tsum(ad.mul(ad.self_attention(a[0], a[1:], self.LENGTHS, self.HEADS,
-                                                                0.3, True, Rng(7, "fdmask")), Tensor(w))),
+                                                                0.3, Rng(7, "fdmask")), Tensor(w))),
                     self.attention_arrays(T), n_probes=150, rng=self.rng)
-        for p, training in ((0.0, False), (0.3, True)):
-            check_grads(lambda *a: ad.tsum(ad.mul(ad.feed_forward(*a, p, training, Rng(7, "fdmask")), Tensor(w))),
+        for p in (0.0, 0.3):
+            check_grads(lambda *a: ad.tsum(ad.mul(ad.feed_forward(*a, p, Rng(7, "fdmask")), Tensor(w))),
                         self.ffn_arrays(T), n_probes=100, rng=self.rng)
 
     def test_train_mode_repeatable_from_same_rng(self):
@@ -399,8 +399,8 @@ class TestFusedSublayers:
         for _ in range(2):
             rng = Rng(3, "drop")
             a = ad.self_attention(Tensor(attn_arrays[0]), [Tensor(w) for w in attn_arrays[1:]],
-                                  self.LENGTHS, self.HEADS, 0.3, True, rng)
-            f = ad.feed_forward(*[Tensor(w) for w in ffn_arrays], 0.3, True, rng)
+                                  self.LENGTHS, self.HEADS, 0.3, rng)
+            f = ad.feed_forward(*[Tensor(w) for w in ffn_arrays], 0.3, rng)
             runs.append(a.data.tobytes() + f.data.tobytes())
         assert runs[0] == runs[1]
         evaluated = ad.self_attention(Tensor(attn_arrays[0]), [Tensor(w) for w in attn_arrays[1:]],
@@ -514,7 +514,7 @@ class TestBackwardSemantics:
             w = Tensor(rng.normal((8, 8)), requires_grad=True)
             with Tape():
                 h = ad.gelu(ad.matmul(x, w))
-                h = ad.dropout(h, 0.2, True, rng.child("mask"))
+                h = ad.dropout(h, 0.2, rng.child("mask"))
                 loss = ad.tmean(ad.mul(h, h))
             ad.backward(loss)
             return loss.data.copy(), x.grad.copy(), w.grad.copy()

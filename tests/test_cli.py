@@ -10,7 +10,8 @@ import re
 import pytest
 
 from melbert import cli
-from melbert.checkpoint import load_checkpoint, save_checkpoint
+from melbert.bpe import DEFAULT_POS_TAGS
+from melbert.checkpoint import open_checkpoint, save_checkpoint
 from melbert.cli import main, parse_config_file
 from melbert.data import make_synthetic_corpus, save_corpus
 from melbert.errors import ConfigError
@@ -117,6 +118,15 @@ class TestTrain:
         assert "hidden_dim = 16" in text     # config file beats default
         assert "dry run" in text
 
+    @pytest.mark.parametrize("dry_run", [[], ["--dry-run"]], ids=["run", "dry-run"])
+    def test_missing_resume_file_is_usage_error(self, workdir, capsys, dry_run):
+        code = run(workdir, "train", "--corpus", workdir / "train.tsv", "--vocab", workdir / "vocab.txt",
+                   "--config", workdir / "tiny.cfg", "--out", workdir / "never.ckpt",
+                   "--resume", workdir / "nope.ckpt", *dry_run)
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""  # refused before the settings echo and the corpus summary
+        assert err == f"usage error: resume checkpoint not found: {workdir / 'nope.ckpt'}\n"
+
     def test_checkpoint_written(self, workdir):
         assert (workdir / "model.ckpt").exists()
 
@@ -167,9 +177,9 @@ class TestTrain:
         args = ("train", "--corpus", workdir / "train.tsv", "--vocab", workdir / "vocab.txt",
                 "--config", workdir / "tiny.cfg", "--out", tmp_path / "out.ckpt")
         assert run(workdir, *args, "--save-train-state", tmp_path / "state.ckpt") == 0
-        meta, arrays = load_checkpoint(tmp_path / "state.ckpt")
-        meta["rng_state"] = {}
-        save_checkpoint(tmp_path / "bad.ckpt", meta, arrays)
+        with open_checkpoint(tmp_path / "state.ckpt") as (meta, blocks):
+            meta["rng_state"] = {}
+            save_checkpoint(tmp_path / "bad.ckpt", meta, blocks)
         capsys.readouterr()
         assert run(workdir, *args, "--resume", tmp_path / "bad.ckpt") == 1
         assert capsys.readouterr().err == "error: checkpoint metadata: 'rng_state' has no key 'seed'\n"
@@ -178,9 +188,9 @@ class TestTrain:
         args = ("train", "--corpus", workdir / "train.tsv", "--vocab", workdir / "vocab.txt",
                 "--config", workdir / "tiny.cfg", "--out", tmp_path / "out.ckpt")
         assert run(workdir, *args, "--save-train-state", tmp_path / "state.ckpt") == 0
-        meta, arrays = load_checkpoint(tmp_path / "state.ckpt")
-        meta["rng_state"]["bitgen"]["buffer_pos"] = -3
-        save_checkpoint(tmp_path / "bad.ckpt", meta, arrays)
+        with open_checkpoint(tmp_path / "state.ckpt") as (meta, blocks):
+            meta["rng_state"]["bitgen"]["buffer_pos"] = -3
+            save_checkpoint(tmp_path / "bad.ckpt", meta, blocks)
         capsys.readouterr()
         assert run(workdir, *args, "--resume", tmp_path / "bad.ckpt") == 1
         assert capsys.readouterr().err == ("error: checkpoint metadata: 'rng_state.bitgen.buffer_pos' "
@@ -190,9 +200,9 @@ class TestTrain:
         args = ("train", "--corpus", workdir / "train.tsv", "--vocab", workdir / "vocab.txt",
                 "--config", workdir / "tiny.cfg", "--out", tmp_path / "out.ckpt")
         assert run(workdir, *args, "--save-train-state", tmp_path / "state.ckpt") == 0
-        meta, arrays = load_checkpoint(tmp_path / "state.ckpt")
-        meta["rng_state"]["bitgen"]["state"]["key"]["__ndarray__"] = [1, 2]
-        save_checkpoint(tmp_path / "bad.ckpt", meta, arrays)
+        with open_checkpoint(tmp_path / "state.ckpt") as (meta, blocks):
+            meta["rng_state"]["bitgen"]["state"]["key"]["__ndarray__"] = [1, 2]
+            save_checkpoint(tmp_path / "bad.ckpt", meta, blocks)
         capsys.readouterr()
         assert run(workdir, *args, "--resume", tmp_path / "bad.ckpt") == 1
         assert capsys.readouterr().err == ("error: checkpoint metadata: 'rng_state.bitgen.state.key' must be "
@@ -264,9 +274,9 @@ class TestPredict:
         assert 0.0 < doc["score"] < 1.0
 
     def predict_with_meta(self, workdir, tmp_path, capsys, edit) -> tuple[int, str]:
-        meta, arrays = load_checkpoint(workdir / "model.ckpt")
-        edit(meta)
-        save_checkpoint(tmp_path / "bad.ckpt", meta, arrays)
+        with open_checkpoint(workdir / "model.ckpt") as (meta, blocks):
+            edit(meta)
+            save_checkpoint(tmp_path / "bad.ckpt", meta, blocks)
         code = run(workdir, "predict", "--vocab", workdir / "vocab.txt",
                    "--checkpoint", tmp_path / "bad.ckpt",
                    "--sentence", "the river devours the shore", "--target-index", "2")
@@ -310,6 +320,16 @@ class TestPredict:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error: bad checkpoint header") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("tag", ["FOO", "verb"])
+    def test_pos_tag_without_a_marker_is_usage_error(self, workdir, capsys, tag):
+        code = run(workdir, "predict", "--vocab", workdir / "vocab.txt",
+                   "--checkpoint", workdir / "model.ckpt",
+                   "--sentence", "the river devours the shore", "--target-index", "2", "--pos-tag", tag)
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith(f"usage error: --pos-tag {tag!r} ") and err.count("\n") == 1
+        assert err.endswith(f"{', '.join(DEFAULT_POS_TAGS)}\n")
 
     def test_index_out_of_range(self, workdir, capsys):
         code = run(workdir, "predict", "--vocab", workdir / "vocab.txt",

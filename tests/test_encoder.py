@@ -8,7 +8,7 @@ from fdcheck import check_grads
 from melbert import autodiff as ad
 from melbert.autodiff import Tape, Tensor
 from melbert.bpe import train_bpe
-from melbert.checkpoint import MAGIC, load_checkpoint, open_checkpoint, save_checkpoint
+from melbert.checkpoint import MAGIC, open_checkpoint, save_checkpoint
 from melbert.data import Instance
 from melbert.encoder import Encoder, EncoderConfig, pool_span
 from melbert.errors import ConfigError, ContractError, FormatError, VocabError
@@ -128,15 +128,15 @@ class TestForward:
         enc = Encoder(small_cfg(vocab), Draw(Rng(1, "init")))
         inp = sentence_input(vocab)
         rng = Rng(3, "drop")
-        a = enc.encode(one(inp), mode="train", rng=rng)[0].positions.data
-        b = enc.encode(one(inp), mode="train", rng=rng)[0].positions.data
+        a = enc.encode(one(inp), rng=rng)[0].positions.data
+        b = enc.encode(one(inp), rng=rng)[0].positions.data
         assert a.tobytes() != b.tobytes()
 
     def test_zero_dropout_train_equals_eval(self, vocab):
         enc = Encoder(small_cfg(vocab, dropout=0.0), Draw(Rng(1, "init")))
         inp = sentence_input(vocab)
-        a = enc.encode(one(inp), mode="train", rng=Rng(0))[0].positions.data
-        b = enc.encode(one(inp), mode="eval")[0].positions.data
+        a = enc.encode(one(inp), rng=Rng(0))[0].positions.data
+        b = enc.encode(one(inp))[0].positions.data
         assert a.tobytes() == b.tobytes()
 
     def test_target_input_ignores_position_and_segment_tables(self, vocab):
@@ -161,16 +161,6 @@ class TestForward:
         bad = TargetInput(ids=(2, len(vocab) + 10, 3), target_span=(1, 2))
         with pytest.raises(VocabError):
             enc.encode(one(bad))
-
-    def test_bad_mode(self, vocab):
-        enc = Encoder(small_cfg(vocab), Draw(Rng(0, "init")))
-        with pytest.raises(ContractError):
-            enc.encode(one(sentence_input(vocab)), mode="test")
-
-    def test_train_without_rng(self, vocab):
-        enc = Encoder(small_cfg(vocab), Draw(Rng(0, "init")))
-        with pytest.raises(ContractError):
-            enc.encode(one(sentence_input(vocab)), mode="train")
 
 
 class TestPackedKinds:
@@ -273,34 +263,34 @@ class TestCheckpointFile:
         meta = {"kind": "test", "n": 2}
         path = tmp_path / "ck.bin"
         save_checkpoint(path, meta, arrays)
-        meta2, arrays2 = load_checkpoint(path)
-        assert meta2 == meta
-        assert set(arrays2) == set(arrays)
-        for k in arrays:
-            assert arrays2[k].tobytes() == arrays[k].tobytes()
-            assert arrays2[k].shape == arrays[k].shape
+        with open_checkpoint(path) as (meta2, blocks):
+            assert meta2 == meta
+            assert set(blocks) == set(arrays)
+            for k in arrays:
+                assert blocks[k].tobytes() == arrays[k].tobytes()
+                assert blocks[k].shape == arrays[k].shape
 
     def test_save_load_save_bit_exact(self, tmp_path):
         rng = np.random.default_rng(5)
         arrays = {f"p{i}": rng.standard_normal((3, 4)) for i in range(4)}
         p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
         save_checkpoint(p1, {"v": 1}, arrays)
-        meta, loaded = load_checkpoint(p1)
-        save_checkpoint(p2, meta, loaded)
+        with open_checkpoint(p1) as (meta, blocks):
+            save_checkpoint(p2, meta, blocks)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_header_checked(self, tmp_path):
         path = tmp_path / "bad.bin"
         path.write_bytes(b"not a checkpoint")
-        with pytest.raises(FormatError):
-            load_checkpoint(path)
+        with pytest.raises(FormatError), open_checkpoint(path):
+            pass
 
     def test_truncated_block_rejected(self, tmp_path):
         path = tmp_path / "ck.bin"
         save_checkpoint(path, {}, {"w": np.ones((4, 4))})
         path.write_bytes(path.read_bytes()[:-40])
-        with pytest.raises(FormatError):
-            load_checkpoint(path)
+        with pytest.raises(FormatError), open_checkpoint(path):
+            pass
 
     def test_failed_save_keeps_previous_checkpoint(self, tmp_path):
         path = tmp_path / "ck.bin"
@@ -309,7 +299,8 @@ class TestCheckpointFile:
         with pytest.raises(FormatError):  # "a" is written before the bad name is reached
             save_checkpoint(path, {"v": 2}, {"a": np.zeros(4), "bad name": np.zeros(2)})
         assert path.read_bytes() == before
-        assert load_checkpoint(path)[0] == {"v": 1}
+        with open_checkpoint(path) as (meta, _):
+            assert meta == {"v": 1}
         assert [p.name for p in tmp_path.iterdir()] == ["ck.bin"]
 
     def test_duplicate_block_rejected(self, tmp_path):
@@ -318,8 +309,8 @@ class TestCheckpointFile:
         blob = path.read_bytes()
         block = blob[blob.index(b"param w") : blob.rindex(b"end\n")]
         path.write_bytes(blob.replace(block, block + block))
-        with pytest.raises(FormatError, match="'w'"):
-            load_checkpoint(path)
+        with pytest.raises(FormatError, match="'w'"), open_checkpoint(path):
+            pass
 
     @pytest.mark.parametrize("header, message", [
         (b"param b -1", "negative dimension in block 'b'"),
@@ -330,15 +321,15 @@ class TestCheckpointFile:
         path = tmp_path / "ck.bin"
         save_checkpoint(path, {}, {"a": np.zeros(3), "b": np.ones(2)})
         path.write_bytes(path.read_bytes().replace(b"param b 2", header))
-        with pytest.raises(FormatError, match=message):
-            load_checkpoint(path)
+        with pytest.raises(FormatError, match=message), open_checkpoint(path):
+            pass
 
     def test_bytes_after_end_rejected(self, tmp_path):
         path = tmp_path / "ck.bin"
         save_checkpoint(path, {}, {"w": np.arange(2.0)})
         path.write_bytes(path.read_bytes() + b"\x00")
-        with pytest.raises(FormatError):
-            load_checkpoint(path)
+        with pytest.raises(FormatError), open_checkpoint(path):
+            pass
 
     @pytest.mark.parametrize("cut", [
         lambda blob: b"",
@@ -350,13 +341,14 @@ class TestCheckpointFile:
         path = tmp_path / "ck.bin"
         save_checkpoint(path, {"v": 1}, {"w": np.ones((2, 3))})
         path.write_bytes(cut(path.read_bytes()))
-        with pytest.raises(FormatError):
-            load_checkpoint(path)
+        with pytest.raises(FormatError), open_checkpoint(path):
+            pass
 
     def test_loaded_arrays_are_own_copies(self, tmp_path):
         path = tmp_path / "ck.bin"
         save_checkpoint(path, {}, {"w": np.arange(4.0)})
-        _, arrays = load_checkpoint(path)
+        with open_checkpoint(path) as (_, blocks):
+            arrays = {"w": np.array(blocks["w"])}
         path.write_bytes(b"")
         arrays["w"] += 1.0
         assert arrays["w"].tolist() == [1.0, 2.0, 3.0, 4.0]

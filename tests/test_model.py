@@ -93,8 +93,8 @@ class TestBatchedScoring:
         model = make_model(vocab)
         prepared = [model.build_inputs(i) for i in self.INSTANCES]
         sents, tgts = [s for s, _ in prepared], [g for _, g in prepared]
-        a = model.score_batch(sents, tgts, mode="train", rng=Rng(4, "drop")).data
-        b = model.score_batch(sents, tgts, mode="train", rng=Rng(4, "drop")).data
+        a = model.score_batch(sents, tgts, rng=Rng(4, "drop")).data
+        b = model.score_batch(sents, tgts, rng=Rng(4, "drop")).data
         assert a.tobytes() == b.tobytes()
         assert model.counters.target == 2 * len(prepared)  # training never reads the cache
 
@@ -220,6 +220,20 @@ class TestTargetCache:
         assert s1.tobytes() == s2.tobytes() == s3.tobytes()
         assert (model.counters.target, model.counters.target_cache_hits) == (2, 1)
 
+    def test_rng_alone_decides_the_pass_kind(self, vocab):
+        # without dropout the two kinds of pass score alike; only their use of the cache differs
+        model = make_model(vocab, dropout=0.0)
+        # one instance per target, so both passes encode the same rows
+        distinct = {tgt.ids: (sent, tgt) for sent, tgt in map(model.build_inputs, CORPUS[:30])}
+        sents, tgts = [s for s, _ in distinct.values()], [g for _, g in distinct.values()]
+        trained = model.score_batch(sents, tgts, rng=Rng(0)).data.copy()
+        assert model.counters.target == len(tgts) and model._target_cache == {}
+        evaluated = model.score_batch(sents, tgts).data
+        assert model._target_cache.keys() == distinct.keys()
+        model.score_batch(sents, tgts, rng=Rng(0))  # nor is a full cache read
+        assert model.counters.target == 3 * len(tgts) and model.counters.target_cache_hits == 0
+        assert trained.tobytes() == evaluated.tobytes()
+
     def test_invalidation_on_update(self, vocab):
         model = make_model(vocab)
         model.predict(CORPUS[0])
@@ -258,7 +272,7 @@ class TestEndToEndGradient:
                     model.encoder.params[n[4:]] = t
                 else:
                     setattr(model.heads, n[5:].replace(".", "_"), t)
-            scores = model.score_batch([s for s, _ in prepared], [g for _, g in prepared], mode="eval")
+            scores = model.score_batch([s for s, _ in prepared], [g for _, g in prepared])
             return bce_loss(scores, labels, pos_weight=2.0)
 
         # eval-mode scoring caches target vectors; disable to keep grads exact

@@ -13,7 +13,7 @@ import melbert
 from melbert.autodiff import Tensor
 from melbert.data import Instance, make_synthetic_corpus
 from melbert.bpe import train_bpe
-from melbert.checkpoint import Blocks, load_checkpoint, save_checkpoint
+from melbert.checkpoint import Blocks, open_checkpoint, save_checkpoint
 from melbert.encoder import EncoderConfig
 from melbert.errors import ConfigError, ContractError, FormatError, TrainingDivergedError
 from melbert.model import MetaphorModel, ModelConfig, Variant
@@ -314,8 +314,8 @@ def params_sha256(model) -> str:
 def rewrite(src, dst, edit=None, edit_meta=None):
     """Copy checkpoint ``src`` to ``dst`` with ``edit`` applied to its arrays
     and ``edit_meta`` to its metadata."""
-    meta, arrays = load_checkpoint(src)
-    arrays = dict(arrays)
+    with open_checkpoint(src) as (meta, blocks):
+        arrays = {name: np.array(blocks[name]) for name in blocks}
     if edit is not None:
         edit(arrays)
     if edit_meta is not None:
