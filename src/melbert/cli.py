@@ -15,6 +15,7 @@ files, malformed settings).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -38,6 +39,7 @@ from .training import (
     TrainConfig,
     bagging_cv_train,
     load_model,
+    open_log,
     save_model_checkpoint,
     train_single,
 )
@@ -184,18 +186,14 @@ def cmd_train(args) -> int:
         print("dry run: settings and corpus look usable, stopping before training")
         return 0
 
-    # a resumed run continues the log of the run it resumes
-    log_fh = open(args.log, "a" if args.resume else "w", encoding="utf-8") if args.log else None
-    try:
+    log = open_log(args.log, model_cfg, train_cfg, run.seed, args.resume) if args.log else contextlib.nullcontext()
+    with log as log_fh:
         result = train_single(
             model_cfg, vocab, instances, train_cfg, seed=run.seed,
             log_fh=log_fh,
             checkpoint_path=args.save_train_state,
             resume_from=args.resume,
         )
-    finally:
-        if log_fh is not None:
-            log_fh.close()
     save_model_checkpoint(args.out, result.model)
     curve = ", ".join(f"{v:.4f}" for v in result.loss_curve)
     print(f"trained {model_cfg.variant.value} for {result.global_step} steps; "
@@ -260,13 +258,13 @@ def cmd_predict(args) -> int:
     if args.pos_tag not in vocab.pos_tags:
         raise UsageError(f"--pos-tag {args.pos_tag!r} has no marker in the vocabulary; "
                          f"its tags are {', '.join(vocab.pos_tags)}")
-    model = load_model(args.checkpoint, vocab)
     tokens = tuple(args.sentence.split())
     if not 0 <= args.target_index < len(tokens):
         raise UsageError(
             f"--target-index {args.target_index} outside the sentence "
             f"({len(tokens)} tokens)"
         )
+    model = load_model(args.checkpoint, vocab)
     inst = Instance(
         sentence_id="cli", tokens=tokens, target_index=args.target_index,
         label=0.0, pos_tag=args.pos_tag,

@@ -1,9 +1,10 @@
 """Post-layer-norm transformer encoder, shared by both towers.
 
 One parameter set encodes both input kinds. Sentence-style inputs get
-token + position + segment embeddings summed elementwise; the bare
-target input gets token embeddings only, so its encoding is a pure
-function of the sub-token ids. Each block is multi-head self-attention
+token + position + segment embeddings summed elementwise, each position
+counted from its own input's first row; the bare target input gets
+token embeddings only, so its encoding is a pure function of the
+sub-token ids. Each block is multi-head self-attention
 with a residual then layer norm, followed by a two-layer GELU feedforward
 with a residual then layer norm (norms after the residual adds).
 
@@ -143,8 +144,9 @@ class Encoder:
         embedded = []
         for batch in batches:
             x = ad.embedding(P["emb.tok"], batch.ids)
-            if batch.positions is not None:
-                x = ad.add(x, ad.embedding(P["emb.pos"], batch.positions))
+            if batch.segments is not None:
+                positions = np.arange(len(batch.ids)) - np.repeat(batch.offsets, batch.lengths)
+                x = ad.add(x, ad.embedding(P["emb.pos"], positions))
                 x = ad.add(x, ad.embedding(P["emb.seg"], batch.segments))
             embedded.append(x)
         x = embedded[0] if len(embedded) == 1 else ad.concat(embedded, axis=0)

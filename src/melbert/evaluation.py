@@ -1,9 +1,8 @@
 """Classification metrics, grouped breakdowns, correlation statistics,
 and report rendering.
 
-Every statistic here is computed from its textbook formula; scipy is
-used only for average ranks, so
-the tests can cross-check each value against an independent route.
+Every statistic here is computed from its textbook formula in numpy,
+so the tests can cross-check each value against an independent route.
 Zero-denominator cases never raise: the metric is reported as 0.0 and
 the condition is recorded in the report's flags.
 """
@@ -120,6 +119,13 @@ class RegressionReport:
     flags: list[str] = field(default_factory=list)
 
 
+def _average_ranks(v: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``v``, each tie group given its mean rank."""
+    _, group, counts = np.unique(v, return_inverse=True, return_counts=True)
+    last = np.cumsum(counts)  # each group's highest rank
+    return ((2 * last - counts + 1) / 2)[group]
+
+
 def regression_scores(predicted, target) -> RegressionReport:
     """Pearson and Spearman correlation for graded novelty scores.
 
@@ -132,7 +138,8 @@ def regression_scores(predicted, target) -> RegressionReport:
         raise ContractError("predicted and target must be equal-length vectors")
     if x.size < 3:
         raise ContractError("correlation needs at least three pairs")
-    flags = []
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ContractError("correlation needs finite values")
     if np.ptp(x) == 0.0 or np.ptp(y) == 0.0:
         return RegressionReport(0.0, 0.0, n=x.size, flags=["constant_series"])
 
@@ -141,14 +148,8 @@ def regression_scores(predicted, target) -> RegressionReport:
         vc = v - v.mean()
         return float((uc * vc).sum() / np.sqrt((uc * uc).sum() * (vc * vc).sum()))
 
-    from scipy import stats
-
-    rx = stats.rankdata(x)  # average ranks for ties
-    ry = stats.rankdata(y)
-    if np.ptp(rx) == 0.0 or np.ptp(ry) == 0.0:
-        # ties can flatten the ranks even when the raw series varies
-        return RegressionReport(pearson(x, y), 0.0, n=x.size, flags=["constant_ranks"])
-    return RegressionReport(pearson(x, y), pearson(rx, ry), n=x.size, flags=flags)
+    # a series that varies has at least two distinct ranks
+    return RegressionReport(pearson(x, y), pearson(_average_ranks(x), _average_ranks(y)), n=x.size)
 
 
 def zero_shot_eval(model, vocab: Vocab, instances: list[Instance]) -> EvalReport:
@@ -163,15 +164,12 @@ def zero_shot_eval(model, vocab: Vocab, instances: list[Instance]) -> EvalReport
     unk_tokens = 0
     total_tokens = 0
     for inst in instances:
-        ids = []
-        for pos, word in enumerate(inst.tokens):
-            ids.extend(vocab.encode_word(word, initial=pos == 0))
-        total_tokens += len(ids)
-        unk_tokens += sum(1 for i in ids if i == UNK_ID)
-        tgt = vocab.encode_word(inst.target_word, initial=inst.target_index == 0)
+        words = [vocab.encode_word(word, initial=pos == 0) for pos, word in enumerate(inst.tokens)]
+        total_tokens += sum(len(ids) for ids in words)
+        unk_tokens += sum(ids.count(UNK_ID) for ids in words)
         # the word-start sentinel is always known; the question is whether
-        # any actual content survives
-        content = [i for i in tgt if vocab.id_to_token.get(i) != MARKER]
+        # any actual content of the target survives
+        content = [i for i in words[inst.target_index] if vocab.id_to_token.get(i) != MARKER]
         if content and all(i == UNK_ID for i in content):
             unk_targets += 1
     report.flags["unk_target_rate"] = unk_targets / len(instances)

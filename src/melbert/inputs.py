@@ -5,13 +5,14 @@ segment classes: the target word's sub-tokens, the rest of the
 comma-delimited clause around the target (its local context), and
 everything else (specials, commas, words outside the clause, the POS
 marker). A target input is the bare ``[CLS] <target> [SEP]`` and carries
-no positions or segments at all, so the target encoder sees it free of
-context. The pair input used by the all-to-all baseline appends the
-target copy after the sentence and marks nothing.
+no segments, so the target encoder sees it free of context. The pair
+input used by the all-to-all baseline appends the target copy after the
+sentence and marks nothing. No input stores positions; the encoder
+counts them from each input's first id.
 
-When a sentence overflows max_len, sub-tokens are dropped one at a time
-from whichever sentence end lies farther from the target span; the
-specials and the target itself are never dropped.
+A sentence over max_len keeps the target span and splits the remaining
+room as evenly around it as the sentence allows, the front taking the
+odd sub-token; the specials and the target itself are never dropped.
 
 The encoder consumes an ``InputBatch``: inputs of one kind, at any id
 lengths, packed end to end into one id array, so a whole batch of them
@@ -35,18 +36,17 @@ NUM_SEGMENTS = 3
 
 @dataclass(frozen=True)
 class SentenceInput:
-    """Full-context encoder input with positions and segment marks."""
+    """Full-context encoder input with segment marks."""
 
     ids: tuple[int, ...]
-    positions: tuple[int, ...]
     segments: tuple[int, ...]
     target_span: tuple[int, int]  # half-open sub-token range
     truncated: bool = False
 
     def __post_init__(self):
         n = len(self.ids)
-        if len(self.positions) != n or len(self.segments) != n:
-            raise ContractError("ids, positions and segments must have equal length")
+        if len(self.segments) != n:
+            raise ContractError("ids and segments must have equal length")
         s, e = self.target_span
         if not (0 <= s < e <= n):
             raise ContractError(f"target span {self.target_span} invalid for length {n}")
@@ -74,7 +74,6 @@ class InputBatch:
     """
 
     ids: np.ndarray                   # [T], every input's ids, concatenated
-    positions: Optional[np.ndarray]   # [T]; None for target inputs
     segments: Optional[np.ndarray]    # [T]; None for target inputs
     offsets: np.ndarray               # [B], first packed row of each input
     lengths: np.ndarray               # [B], id count of each input
@@ -96,7 +95,6 @@ class InputBatch:
         lengths = np.array([len(inp.ids) for inp in inputs], dtype=np.int64)
         return cls(
             ids=packed("ids"),
-            positions=packed("positions") if sentences else None,
             segments=packed("segments") if sentences else None,
             offsets=np.cumsum(lengths) - lengths,
             lengths=lengths,
@@ -124,73 +122,47 @@ def clause_word_range(tokens, target_index: int) -> tuple[int, int]:
     return lo + 1, hi
 
 
-def _encode_words(instance: Instance, vocab: Vocab) -> list[list[int]]:
-    return [vocab.encode_word(w, initial=(i == 0)) for i, w in enumerate(instance.tokens)]
+def _layout(instance: Instance, vocab: Vocab, word_segs, tail, max_len) -> SentenceInput:
+    """Both sentence layouts: ``[CLS] <sub-tokens> <tail>``, each word's
+    sub-tokens in its segment from ``word_segs``, truncated to max_len."""
+    ids: list[int] = []
+    segs: list[int] = []
+    for i, (word, seg) in enumerate(zip(instance.tokens, word_segs)):
+        sub = vocab.encode_word(word, initial=(i == 0))
+        if i == instance.target_index:
+            span = (len(ids), len(ids) + len(sub))
+        ids += sub
+        segs += [seg] * len(sub)
+    return _truncate(ids, segs, span, tail, max_len)
 
 
-def _truncate(sent_ids, sent_segs, span, head, tail, max_len):
-    """Drop sentence sub-tokens from the end farther from the span.
-
-    head/tail are the id lists kept verbatim around the sentence region.
-    Returns the rebuilt (ids, segments, span, truncated) with segments
-    for head and tail filled with SEG_OTHER.
-    """
-    budget = max_len - len(head) - len(tail)
+def _truncate(ids, segs, span, tail, max_len) -> SentenceInput:
+    """The input keeping the window of the sentence region that fits
+    max_len ids between [CLS] and ``tail``, split as the module says."""
+    budget = max_len - 1 - len(tail)
     s, e = span
     if budget < e - s:
         raise ContractError(
             f"max_len {max_len} cannot hold the target span of {e - s} sub-tokens "
-            f"plus {len(head) + len(tail)} structural tokens"
+            f"plus {1 + len(tail)} structural tokens"
         )
-    excess = len(sent_ids) - budget
-    drop_front = 0
-    drop_back = 0
-    while drop_front + drop_back < excess:
-        front_room = s - drop_front
-        back_room = (len(sent_ids) - drop_back) - e
-        if back_room >= front_room:
-            drop_back += 1
-        else:
-            drop_front += 1
-    kept_ids = sent_ids[drop_front : len(sent_ids) - drop_back]
-    kept_segs = sent_segs[drop_front : len(sent_segs) - drop_back]
-    ids = head + kept_ids + tail
-    segs = [SEG_OTHER] * len(head) + kept_segs + [SEG_OTHER] * len(tail)
-    new_span = (len(head) + s - drop_front, len(head) + e - drop_front)
-    return ids, segs, new_span, excess > 0
+    n = len(ids)
+    room = min(budget, n) - (e - s)
+    front = min(s, max(room - room // 2, room - (n - e)))
+    lo, hi = s - front, e + room - front
+    return SentenceInput(
+        ids=(CLS_ID, *ids[lo:hi], *tail),
+        segments=(SEG_OTHER, *segs[lo:hi], *[SEG_OTHER] * len(tail)),
+        target_span=(1 + front, 1 + front + e - s),
+        truncated=n > budget,
+    )
 
 
 def build_sentence_input(instance: Instance, vocab: Vocab, max_len: int = 150) -> SentenceInput:
-    word_ids = _encode_words(instance, vocab)
     lo, hi = clause_word_range(instance.tokens, instance.target_index)
-
-    sent_ids: list[int] = []
-    sent_segs: list[int] = []
-    span_start = span_end = -1
-    for i, ids in enumerate(word_ids):
-        if i == instance.target_index:
-            span_start = len(sent_ids)
-            span_end = span_start + len(ids)
-            seg = SEG_TAR
-        elif lo <= i < hi and instance.tokens[i] != ",":
-            seg = SEG_LOC
-        else:
-            seg = SEG_OTHER
-        sent_ids.extend(ids)
-        sent_segs.extend([seg] * len(ids))
-
-    head = [CLS_ID]
-    tail = [SEP_ID, vocab.pos_token_id(instance.pos_tag)]
-    ids, segs, span, truncated = _truncate(
-        sent_ids, sent_segs, (span_start, span_end), head, tail, max_len
-    )
-    return SentenceInput(
-        ids=tuple(ids),
-        positions=tuple(range(len(ids))),
-        segments=tuple(segs),
-        target_span=span,
-        truncated=truncated,
-    )
+    word_segs = [SEG_TAR if i == instance.target_index else SEG_LOC if lo <= i < hi else SEG_OTHER
+                 for i in range(len(instance.tokens))]
+    return _layout(instance, vocab, word_segs, (SEP_ID, vocab.pos_token_id(instance.pos_tag)), max_len)
 
 
 def build_target_input(instance: Instance, vocab: Vocab) -> TargetInput:
@@ -202,23 +174,5 @@ def build_target_input(instance: Instance, vocab: Vocab) -> TargetInput:
 def build_pair_input(instance: Instance, vocab: Vocab, max_len: int = 150) -> SentenceInput:
     """Sentence and target as one unmarked sequence for the all-to-all
     baseline: [CLS] sentence [SEP] target [SEP], every segment OTHER."""
-    word_ids = _encode_words(instance, vocab)
-    sent_ids: list[int] = []
-    span_start = span_end = -1
-    for i, ids in enumerate(word_ids):
-        if i == instance.target_index:
-            span_start = len(sent_ids)
-            span_end = span_start + len(ids)
-        sent_ids.extend(ids)
-    target_copy = vocab.encode_word(instance.target_word, initial=True)
-    head = [CLS_ID]
-    tail = [SEP_ID] + target_copy + [SEP_ID]
-    segs = [SEG_OTHER] * len(sent_ids)
-    ids, segs, span, truncated = _truncate(sent_ids, segs, (span_start, span_end), head, tail, max_len)
-    return SentenceInput(
-        ids=tuple(ids),
-        positions=tuple(range(len(ids))),
-        segments=tuple(segs),
-        target_span=span,
-        truncated=truncated,
-    )
+    tail = (SEP_ID, *vocab.encode_word(instance.target_word, initial=True), SEP_ID)
+    return _layout(instance, vocab, [SEG_OTHER] * len(instance.tokens), tail, max_len)

@@ -15,6 +15,7 @@ to an uninterrupted one.
 from __future__ import annotations
 
 import json
+import os
 from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Annotated, Callable, Literal, Optional
@@ -296,6 +297,44 @@ def load_model(path, vocab: Vocab) -> MetaphorModel:
         return _restore(_read_meta(meta), meta, blocks, vocab)
 
 
+def _resumable(meta, model_cfg: ModelConfig, cfg: TrainConfig, seed: int) -> Rng:
+    """The training stream of a checkpoint that a run of these settings
+    may resume; any other checkpoint is refused."""
+    saved_model_cfg = _read_meta(meta)
+    if meta["kind"] != "train":
+        raise ContractError("resume checkpoint must be a training checkpoint")
+    saved_cfg, train_rng = _read_run_state(meta)
+    if saved_model_cfg != model_cfg or saved_cfg != cfg:
+        raise ContractError("resume checkpoint was written under a different configuration")
+    if meta["seed"] != seed:
+        raise ContractError(f"resume checkpoint is for seed {meta['seed']}, not {seed}")
+    return train_rng
+
+
+def open_log(path, model_cfg: ModelConfig, cfg: TrainConfig, seed: int, resume_from=None):
+    """The step log at ``path``, open for appending. A fresh run starts it
+    empty; a resumed run keeps only the records of the steps its checkpoint
+    holds, since a crash after that checkpoint leaves later steps logged,
+    the last perhaps cut short mid-line. They are rewritten through a
+    temporary file, as a checkpoint is."""
+    if resume_from is None or not os.path.exists(path):
+        return open(path, "w", encoding="utf-8")
+    with open_checkpoint(resume_from) as (meta, _):
+        _resumable(meta, model_cfg, cfg, seed)  # a checkpoint train_single refuses cuts nothing
+    kept = []
+    with open(path, encoding="utf-8") as fh:
+        for n, line in enumerate(fh, 1):
+            try:  # only the last line can lack its newline
+                if line.endswith("\n") and json.loads(line)["step"] <= meta["global_step"]:
+                    kept.append(line)
+            except (ValueError, KeyError, TypeError) as e:
+                raise FormatError(f"{path}: line {n} is not a step record") from e
+    with open(f"{path}.tmp", "w", encoding="utf-8") as fh:
+        fh.writelines(kept)
+    os.replace(f"{path}.tmp", path)
+    return open(path, "a", encoding="utf-8")
+
+
 def train_single(
     model_cfg: ModelConfig,
     vocab: Vocab,
@@ -328,15 +367,8 @@ def train_single(
         loss_curve: list[float] = []
     else:
         with open_checkpoint(resume_from) as (meta, blocks):
-            saved_model_cfg = _read_meta(meta)
-            if meta["kind"] != "train":
-                raise ContractError("resume checkpoint must be a training checkpoint")
-            saved_cfg, train_rng = _read_run_state(meta)
-            if saved_model_cfg != model_cfg or saved_cfg != cfg:
-                raise ContractError("resume checkpoint was written under a different configuration")
-            if meta["seed"] != seed:
-                raise ContractError(f"resume checkpoint is for seed {meta['seed']}, not {seed}")
-            model = _restore(saved_model_cfg, meta, blocks, vocab)
+            train_rng = _resumable(meta, model_cfg, cfg, seed)
+            model = _restore(model_cfg, meta, blocks, vocab)
             adam = _restore_adam(model, meta, blocks)
         start_epoch = meta["epoch"]
         global_step = meta["global_step"]

@@ -9,7 +9,7 @@ import re
 
 import pytest
 
-from melbert import cli
+from melbert import cli, training
 from melbert.bpe import DEFAULT_POS_TAGS
 from melbert.checkpoint import open_checkpoint, save_checkpoint
 from melbert.cli import main, parse_config_file
@@ -172,6 +172,56 @@ class TestTrain:
         assert run(workdir, *args, "--log", log, "--resume", state,
                    "--out", workdir / "resumed.ckpt") == 0
         assert log.read_text().splitlines() == full.read_text().splitlines()
+
+    def test_log_resumed_after_a_mid_epoch_crash_equals_uninterrupted_log(self, workdir, monkeypatch):
+        args = ("train", "--corpus", workdir / "train.tsv", "--vocab", workdir / "vocab.txt",
+                "--config", workdir / "tiny.cfg", "--epochs", "3")
+        full = workdir / "uninterrupted.jsonl"
+        assert run(workdir, *args, "--log", full, "--out", workdir / "whole.ckpt") == 0
+        assert [json.loads(l)["step"] for l in full.read_text().splitlines()] == [1, 2, 3, 4, 5, 6]
+
+        log, state = workdir / "crashed.jsonl", workdir / "crashed-state.ckpt"
+        calls = []
+
+        def adam_step_that_crashes(*a):
+            calls.append(1)
+            if len(calls) == 4:  # step 3 is logged, step 4 never is
+                raise RuntimeError("killed")
+            return real_adam_step(*a)
+
+        real_adam_step = training.adam_step
+        monkeypatch.setattr(training, "adam_step", adam_step_that_crashes)
+        with pytest.raises(RuntimeError, match="killed"):
+            run(workdir, *args, "--log", log, "--save-train-state", state, "--out", workdir / "part.ckpt")
+        monkeypatch.undo()
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write('{"epoch": 1, "loss": 0.6')  # a record the crash cut short
+        assert [json.loads(l)["step"] for l in log.read_text().splitlines()[:-1]] == [1, 2, 3]
+        assert run(workdir, *args, "--log", log, "--resume", state,
+                   "--out", workdir / "resumed.ckpt") == 0
+        assert log.read_text() == full.read_text()
+
+    def test_refused_resume_leaves_the_log_alone(self, workdir, tmp_path, capsys):
+        args = ("train", "--corpus", workdir / "train.tsv", "--vocab", workdir / "vocab.txt",
+                "--config", workdir / "tiny.cfg", "--out", tmp_path / "out.ckpt")
+        assert run(workdir, *args, "--save-train-state", tmp_path / "state.ckpt") == 0
+        log = tmp_path / "other-run.jsonl"
+        assert run(workdir, *args, "--epochs", "3", "--log", log) == 0
+        before = log.read_text()
+        capsys.readouterr()
+        assert run(workdir, *args, "--epochs", "3", "--log", log, "--resume", tmp_path / "state.ckpt") == 1
+        assert capsys.readouterr().err == "error: resume checkpoint was written under a different configuration\n"
+        assert log.read_text() == before
+
+    def test_resume_onto_a_log_with_a_foreign_line_is_one_error_line(self, workdir, tmp_path, capsys):
+        args = ("train", "--corpus", workdir / "train.tsv", "--vocab", workdir / "vocab.txt",
+                "--config", workdir / "tiny.cfg", "--out", tmp_path / "out.ckpt")
+        log = tmp_path / "steps.jsonl"
+        assert run(workdir, *args, "--log", log, "--save-train-state", tmp_path / "state.ckpt") == 0
+        log.write_text(log.read_text() + "not json\n")
+        capsys.readouterr()
+        assert run(workdir, *args, "--log", log, "--resume", tmp_path / "state.ckpt") == 1
+        assert capsys.readouterr().err == f"error: {log}: line 3 is not a step record\n"
 
     def test_resume_with_bad_rng_state_is_one_error_line(self, workdir, tmp_path, capsys):
         args = ("train", "--corpus", workdir / "train.tsv", "--vocab", workdir / "vocab.txt",
@@ -337,6 +387,15 @@ class TestPredict:
                    "--sentence", "two words", "--target-index", "5")
         assert code == 2
         assert "target-index" in capsys.readouterr().err
+
+    def test_index_out_of_range_is_reported_before_a_bad_checkpoint(self, workdir, tmp_path, capsys):
+        (tmp_path / "empty.ckpt").write_bytes(b"")
+        code = run(workdir, "predict", "--vocab", workdir / "vocab.txt",
+                   "--checkpoint", tmp_path / "empty.ckpt",
+                   "--sentence", "two words", "--target-index", "5")
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("usage error: --target-index 5 outside the sentence") and err.count("\n") == 1
 
 
 class TestAblate:

@@ -168,6 +168,21 @@ class TestRegression:
         with pytest.raises(ContractError):
             regression_scores([0.1, 0.2], [0.3, 0.4])
 
+    def test_runs_without_scipy(self, monkeypatch):
+        x = [3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0, 5.0]
+        y = [2.0, 7.0, 1.0, 8.0, 2.0, 8.0, 1.0, 8.0, 2.0]
+        monkeypatch.setitem(sys.modules, "scipy", None)  # any import of scipy now fails
+        with pytest.raises(ImportError):
+            import scipy  # noqa: F401
+        r = regression_scores(x, y)
+        monkeypatch.undo()
+        assert r.spearman == pytest.approx(stats.spearmanr(x, y).statistic, rel=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ContractError):
+            regression_scores([0.1, bad, 0.3], [0.3, 0.4, 0.5])
+
 
 class TestEvaluateModel:
     """Corpus-level aggregation."""

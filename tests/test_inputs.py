@@ -16,6 +16,7 @@ from melbert.inputs import (
     build_target_input,
     clause_word_range,
 )
+from melbert.inputs import _truncate
 
 WORDS = ["the", "cat", "dog", "sat", "ran", "on", "mat", "rug", "big", ","]
 
@@ -78,7 +79,6 @@ class TestSentenceInput:
         assert inp.ids[0] == CLS_ID
         assert inp.ids[-2] == SEP_ID
         assert inp.ids[-1] == vocab.pos_token_id("NOUN")
-        assert inp.positions == tuple(range(len(inp.ids)))
         assert not inp.truncated
 
     def test_span_decodes_to_target(self, vocab):
@@ -120,6 +120,26 @@ class TestSentenceInput:
         inp = build_sentence_input(inst, vocab)
         s, e = inp.target_span
         assert set(inp.segments[s:e]) == {SEG_TAR}
+
+
+def truncate_one_at_a_time(sent_ids, sent_segs, span, head, tail, max_len):
+    """The reference truncation: drop one sentence sub-token at a time
+    from whichever end lies farther from the span, the back on a tie."""
+    budget = max_len - len(head) - len(tail)
+    s, e = span
+    if budget < e - s:
+        raise ContractError("no room for the span")
+    excess = len(sent_ids) - budget
+    drop_front = drop_back = 0
+    while drop_front + drop_back < excess:
+        if (len(sent_ids) - drop_back) - e >= s - drop_front:
+            drop_back += 1
+        else:
+            drop_front += 1
+    kept = slice(drop_front, len(sent_ids) - drop_back)
+    ids = head + sent_ids[kept] + tail
+    segs = [SEG_OTHER] * len(head) + sent_segs[kept] + [SEG_OTHER] * len(tail)
+    return ids, segs, (len(head) + s - drop_front, len(head) + e - drop_front), excess > 0
 
 
 class TestTruncation:
@@ -165,6 +185,24 @@ class TestTruncation:
         full = build_sentence_input(inst, vocab, max_len=150)
         exact = build_sentence_input(inst, vocab, max_len=len(full.ids))
         assert exact == full
+
+    @pytest.mark.parametrize("tail", [[SEP_ID, 7], [SEP_ID, 8, 9, SEP_ID]], ids=["sentence", "pair"])
+    def test_window_matches_one_at_a_time_reference(self, tail):
+        cases = 0
+        for n in range(1, 25):
+            ids = list(range(100, 100 + n))
+            segs = [i % 3 for i in range(n)]
+            for s in range(n):
+                for e in range(s + 1, n + 1):
+                    smallest = 1 + len(tail) + e - s
+                    with pytest.raises(ContractError):
+                        _truncate(ids, segs, (s, e), tail, smallest - 1)
+                    for max_len in range(smallest, 1 + len(tail) + n + 2):
+                        want = truncate_one_at_a_time(ids, segs, (s, e), [CLS_ID], tail, max_len)
+                        got = _truncate(ids, segs, (s, e), tail, max_len)
+                        assert (list(got.ids), list(got.segments), got.target_span, got.truncated) == want
+                        cases += 1
+        assert cases > 30_000
 
 
 class TestTargetInput:
@@ -225,7 +263,6 @@ class TestInputBatch:
         assert len(a.ids) == len(b.ids)
         batch = InputBatch.stack([a, b])
         assert batch.ids.tolist() == [*a.ids, *b.ids]
-        assert batch.positions.tolist() == [*a.positions, *b.positions]
         assert batch.segments.tolist() == [*a.segments, *b.segments]
         assert batch.spans.tolist() == [list(a.target_span), list(b.target_span)]
 
@@ -238,13 +275,12 @@ class TestInputBatch:
         assert batch.offsets.tolist() == [0, len(longer.ids), len(longer.ids) + len(short.ids)]
         for inp, off, n in zip([longer, short, longer], batch.offsets, batch.lengths):
             assert batch.ids[off : off + n].tolist() == list(inp.ids)
-            assert batch.positions[off : off + n].tolist() == list(inp.positions)
             assert batch.segments[off : off + n].tolist() == list(inp.segments)
         assert batch.spans.tolist() == [list(longer.target_span), list(short.target_span), list(longer.target_span)]
 
     def test_target_rows_have_no_positions_or_segments(self, vocab):
         batch = InputBatch.stack([build_target_input(Instance("a", ("cat",), 0, 0.0, "NOUN"), vocab)])
-        assert batch.positions is None and batch.segments is None
+        assert batch.segments is None
 
     def test_mixed_kinds_and_empty_rejected(self, vocab):
         inst = Instance("a", ("the", "cat", "sat"), 1, 0.0, "NOUN")
