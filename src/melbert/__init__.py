@@ -8,7 +8,7 @@ The package is organized bottom-up:
 - ``bpe``: word-level byte-pair-encoding tokenizer
 - ``inputs``: sentence/target id sequences with segment and POS marking
 - ``encoder``: post-layer-norm transformer encoder (siamese use)
-- ``heads``: interaction heads, combiner, and losses
+- ``heads``: the five variants and the heads each runs, combiner, and losses
 - ``model``: the five scoring variants wired to the encoder
 - ``data``: corpus loading, summaries, synthesis, k-fold splits
 - ``training``: Adam, warmup/decay schedule, checkpoints, bagging

@@ -9,7 +9,7 @@ bagged k-fold ensemble. Settings come from an optional config file of
 fields of the config classes, and a command refuses a setting it would
 not use. Exit codes:
 0 success, 1 runtime failure, 2 usage problems (bad flags, missing
-files, malformed settings).
+files or output directories, malformed settings).
 """
 
 from __future__ import annotations
@@ -122,7 +122,7 @@ def build_configs(settings: dict, vocab_size: int) -> tuple[ModelConfig, TrainCo
 def refuse_inert(settings: dict) -> None:
     """Refuse a model setting the variant ignores (``ablate`` trains every variant, so takes them)."""
     variant = settings["variant"]
-    if settings["head_dim"] is not None and variant in (Variant.SEQ, Variant.BASE_ALL2ALL):
+    if settings["head_dim"] is not None and not variant.heads:
         raise UsageError(f"variant {variant.value} has no MIP or SPV head, so head_dim does not apply")
     if settings["target_pooling"] != "mean" and not variant.encodes_target:
         raise UsageError(f"variant {variant.value} encodes no bare target, so target_pooling does not apply")
@@ -135,6 +135,11 @@ def echo_settings(settings: dict) -> str:
 def _require_file(path, what: str) -> None:
     if not os.path.isfile(path):
         raise UsageError(f"{what} not found: {path}")
+
+
+def _require_dir_of(path, what: str) -> None:
+    if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
+        raise UsageError(f"directory of {what} not found: {path}")
 
 
 def dataset_sha256(path) -> str:
@@ -158,6 +163,7 @@ def _load_instances(path) -> list[Instance]:
 
 def cmd_tokenizer_train(args) -> int:
     _require_file(args.corpus, "corpus")
+    _require_dir_of(args.out, "vocabulary")
     instances = _load_instances(args.corpus)
     # one line per sentence, not per annotated target
     corpus_lines = (" ".join(inst.tokens) for inst in first_rows(instances).values())
@@ -174,6 +180,9 @@ def cmd_train(args) -> int:
     _require_file(args.vocab, "vocabulary")
     if args.resume:
         _require_file(args.resume, "resume checkpoint")
+    _require_dir_of(args.out, "model checkpoint")
+    _require_dir_of(args.log, "step log")
+    _require_dir_of(args.save_train_state, "training checkpoint")
     vocab = Vocab.load(args.vocab)
     instances = _load_instances(args.corpus)
     model_cfg, train_cfg, run = build_configs(settings, len(vocab))
@@ -214,6 +223,7 @@ def cmd_eval(args) -> int:
     _require_file(args.checkpoint, "checkpoint")
     _require_file(args.vocab, "vocabulary")
     _require_file(args.corpus, "corpus")
+    _require_dir_of(args.report, "report")
     groups = _parse_breakdown(args.breakdown)
     vocab = Vocab.load(args.vocab)
     model = load_model(args.checkpoint, vocab)
@@ -311,6 +321,7 @@ def cmd_cv(args) -> int:
     _require_file(args.corpus, "corpus")
     _require_file(args.eval_corpus, "evaluation corpus")
     _require_file(args.vocab, "vocabulary")
+    _require_dir_of(args.report, "report")
     vocab = Vocab.load(args.vocab)
     train_set = _load_instances(args.corpus)
     sentences = len(first_rows(train_set))

@@ -9,7 +9,7 @@ sentences, which is how the standard corpus statistics tables count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping
 
 import numpy as np
@@ -81,39 +81,32 @@ def load_corpus(path) -> LoadResult:
     for lineno, line in enumerate(lines[1:], start=2):
         if line == "":
             continue
-        parts = line.split("\t")
-        if len(parts) != len(COLUMNS):
-            errors.append(RowError(lineno, f"expected {len(COLUMNS)} columns, got {len(parts)}", line))
-            continue
-        sid, tokens_field, idx_field, label_field, pos_field, genre_field = parts
-        tokens = tuple(tokens_field.split(" "))
-        if any(t == "" for t in tokens):
-            errors.append(RowError(lineno, "empty token (stray space in tokens field)", line))
-            continue
         try:
-            target_index = int(idx_field)
-        except ValueError:
-            errors.append(RowError(lineno, f"target_index {idx_field!r} is not an integer", line))
-            continue
-        try:
-            label = float(label_field)
-        except ValueError:
-            errors.append(RowError(lineno, f"label {label_field!r} is not a number", line))
-            continue
-        try:
-            inst = Instance(
-                sentence_id=sid,
-                tokens=tokens,
-                target_index=target_index,
-                label=label,
-                pos_tag=pos_field,
-                genre=genre_field or None,
-            )
+            instances.append(_parse_row(line))
         except ContractError as e:
             errors.append(RowError(lineno, str(e), line))
-            continue
-        instances.append(inst)
     return LoadResult(instances=instances, errors=errors)
+
+
+def _parse_row(line: str) -> Instance:
+    """One row of the interchange format; ContractError says what is wrong with it."""
+    parts = line.split("\t")
+    if len(parts) != len(COLUMNS):
+        raise ContractError(f"expected {len(COLUMNS)} columns, got {len(parts)}")
+    sid, tokens_field, idx_field, label_field, pos_field, genre_field = parts
+    tokens = tuple(tokens_field.split(" "))
+    if any(t == "" for t in tokens):
+        raise ContractError("empty token (stray space in tokens field)")
+    try:
+        target_index = int(idx_field)
+    except ValueError:
+        raise ContractError(f"target_index {idx_field!r} is not an integer") from None
+    try:
+        label = float(label_field)
+    except ValueError:
+        raise ContractError(f"label {label_field!r} is not a number") from None
+    return Instance(sentence_id=sid, tokens=tokens, target_index=target_index, label=label,
+                    pos_tag=pos_field, genre=genre_field or None)
 
 
 def save_corpus(instances, path) -> None:
@@ -345,18 +338,6 @@ def make_transfer_pair(
     test target unseen as a target.
     """
     spec = spec or SyntheticSpec()
-    train_spec = SyntheticSpec(
-        fields=spec.fields,
-        balance=spec.balance,
-        genres=spec.genres,
-        target_words=_split_pools(spec.fields, take_first=True),
-    )
-    test_spec = SyntheticSpec(
-        fields=spec.fields,
-        balance=spec.balance,
-        genres=spec.genres,
-        target_words=_split_pools(spec.fields, take_first=False),
-    )
-    train = make_synthetic_corpus(seed, n_train, train_spec)
-    test = make_synthetic_corpus(seed + 1, n_test, test_spec)
-    return train, test
+    train_spec = replace(spec, target_words=_split_pools(spec.fields, take_first=True))
+    test_spec = replace(spec, target_words=_split_pools(spec.fields, take_first=False))
+    return make_synthetic_corpus(seed, n_train, train_spec), make_synthetic_corpus(seed + 1, n_test, test_spec)

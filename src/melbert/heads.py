@@ -1,17 +1,18 @@
-"""Interaction heads, score combination, and training losses.
+"""Interaction heads, the variants that run them, score combination, and losses.
 
-Two small MLPs consume pairs of encoder vectors:
+Two small MLPs consume pairs of encoder vectors, one per theory:
 
-- the interaction head ``f`` compares the contextualized target vector
-  with its context-free encoding (literal vs in-context meaning),
-- the contrast head ``g`` compares the sentence vector with the
+- MIP, the interaction head ``f``, compares the contextualized target
+  vector with its context-free encoding (literal vs in-context meaning),
+- SPV, the contrast head ``g``, compares the sentence vector with the
   contextualized target vector (sentence-level incongruity).
 
 Each maps a concatenated 2d vector through one affine layer with GELU.
-The full model combines both head outputs through a single logistic
-unit; ablations keep one head and a combiner sized to match (the weight
-vector shrinks to h rather than being zero-padded). The two sequence
-baselines score a single encoder vector directly.
+A ``Variant`` declares the heads it runs, in combiner order; its head
+parameters and scoring path follow from that. The full model combines
+both head outputs through a single logistic unit; an ablation runs one
+head, with a combiner of h weights rather than a zero-padded 2h. The two
+sequence baselines run no head and score a single encoder vector directly.
 
 Heads and combiners work row-wise: their inputs are [B, d] batches of
 vectors, and the combiners return one score per row.
@@ -20,6 +21,7 @@ vectors, and the combiners return one score per row.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from enum import Enum
 from typing import Optional
 
 import numpy as np
@@ -28,6 +30,31 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, ContractError, DimensionError
 from .params import Draw, Take
+
+
+class Head(Enum):  # valued by the prefix of its parameters
+    MIP = "f"  # interaction_head over v_st and v_t: in-context against literal meaning
+    SPV = "g"  # contrast_head over v_s and v_st: the target's clash with its sentence
+
+
+class Variant(str, Enum):
+    """A scoring variant, declared with the heads it runs in combiner order."""
+
+    MELBERT = "melbert", (Head.MIP, Head.SPV)
+    NO_MIP = "no_mip", (Head.SPV,)
+    NO_SPV = "no_spv", (Head.MIP,)
+    BASE_ALL2ALL = "base_all2all", ()  # scores the [CLS] row of the packed sentence-target pair
+    SEQ = "seq", ()                    # scores the segment-marked target span
+
+    def __new__(cls, value: str, heads: tuple[Head, ...]):
+        member = str.__new__(cls, value)
+        member._value_ = value
+        member.heads = heads
+        return member
+
+    @property
+    def encodes_target(self) -> bool:  # only MIP reads the bare target, so only then does target_pooling apply
+        return Head.MIP in self.heads
 
 
 @dataclass
@@ -42,37 +69,25 @@ class HeadParams:
     b: Optional[Tensor] = None    # combiner bias, scalar
 
     def named(self, prefix: str = "head.") -> dict[str, Tensor]:
-        out = {}
-        for name in ("f_w", "f_b", "g_w", "g_b", "w", "b"):
-            t = getattr(self, name)
-            if t is not None:
-                out[prefix + name.replace("_", ".")] = t
-        return out
+        """The variant's parameters, in field order, by checkpoint name."""
+        return {prefix + slot.replace("_", "."): t for slot, t in vars(self).items() if t is not None}
 
 
 def init_head_params(variant: str, hidden_dim: int, head_dim: int, source: Draw | Take,
                      init_std: float = 0.02) -> HeadParams:
     """Declare each variant's head parameters; ``source`` draws or takes their values."""
+    try:
+        heads = Variant(variant).heads
+    except ValueError:
+        raise ConfigError(f"unknown variant {variant!r}") from None
     d, h = hidden_dim, head_dim
-
-    def tn(slot, shape):
-        return slot, source.normal(slot.replace("_", "."), shape, init_std)
-
-    def zeros(slot, shape):
-        return slot, source.fill(slot.replace("_", "."), shape, 0.0)
-
-    if variant == "melbert":
-        slots = [tn("f_w", (2 * d, h)), zeros("f_b", (h,)), tn("g_w", (2 * d, h)), zeros("g_b", (h,)),
-                 tn("w", (2 * h,)), zeros("b", ())]
-    elif variant == "no_spv":
-        slots = [tn("f_w", (2 * d, h)), zeros("f_b", (h,)), tn("w", (h,)), zeros("b", ())]
-    elif variant == "no_mip":
-        slots = [tn("g_w", (2 * d, h)), zeros("g_b", (h,)), tn("w", (h,)), zeros("b", ())]
-    elif variant in ("base_all2all", "seq"):
-        slots = [tn("w", (d,)), zeros("b", ())]
-    else:
-        raise ConfigError(f"unknown variant {variant!r}")
-    return HeadParams(**dict(slots))
+    slots = {}
+    for head in heads:
+        slots[head.value + "_w"] = source.normal(head.value + ".w", (2 * d, h), init_std)
+        slots[head.value + "_b"] = source.fill(head.value + ".b", (h,), 0.0)
+    slots["w"] = source.normal("w", (h * len(heads) if heads else d,), init_std)
+    slots["b"] = source.fill("b", (), 0.0)
+    return HeadParams(**slots)
 
 
 def declared_head_param_count(variant: str, hidden_dim: int, head_dim: int) -> int:

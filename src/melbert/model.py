@@ -1,12 +1,12 @@
 """The five scoring variants wired to the shared encoder.
 
-The full model encodes each instance twice (late interaction): the
-sentence with positions and segments, and the bare target. Both
-interaction heads read from those encodings and a logistic combiner
-produces the score. Ablations drop one head. The two baselines need no
-bare target: all-to-all packs sentence and target into one unmarked
-sequence and classifies from [CLS]; the sequence-labeling baseline
-classifies from the segment-marked target vector directly.
+Each variant declares the heads it runs (``heads.Variant``). The full
+model encodes each instance twice (late interaction): the sentence with
+positions and segments, and the bare target, which only MIP reads. The
+heads read from those encodings and a logistic combiner produces the
+score. The two baselines run no head: all-to-all packs sentence and
+target into one unmarked sequence and classifies from [CLS]; the
+sequence-labeling baseline classifies from the segment-marked target.
 
 Scoring is batched: ``score_batch`` packs a batch's sentences and the
 targets it must encode, at any id lengths, into one encoder pass, runs
@@ -25,7 +25,6 @@ parameter update invalidates the cache.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Annotated, Literal, Optional
 
 import numpy as np
@@ -36,7 +35,7 @@ from .bpe import Vocab
 from .data import Instance
 from .encoder import Encoder, EncoderConfig, pool_span
 from .errors import ContractError
-from .heads import combine_pair, combine_single, contrast_head, init_head_params, interaction_head
+from .heads import Head, Variant, combine_pair, combine_single, contrast_head, init_head_params, interaction_head
 from .inputs import (
     InputBatch,
     SentenceInput,
@@ -48,18 +47,6 @@ from .inputs import (
 from .params import Draw, Take
 from .rng import Rng
 from .settings import Range, Settings
-
-
-class Variant(str, Enum):
-    MELBERT = "melbert"
-    NO_MIP = "no_mip"
-    NO_SPV = "no_spv"
-    BASE_ALL2ALL = "base_all2all"
-    SEQ = "seq"
-
-    @property
-    def encodes_target(self) -> bool:  # for its MIP head; only then does target_pooling apply
-        return self in (Variant.MELBERT, Variant.NO_SPV)
 
 
 @dataclass(frozen=True)
@@ -210,24 +197,18 @@ class MetaphorModel:
         if not sents or len(sents) != len(tgts):
             raise ContractError(f"need a non-empty batch of aligned inputs, got {len(sents)} and {len(tgts)}")
         variant = self.cfg.variant
-        p = self.cfg.encoder.dropout
         if variant.encodes_target and any(t is None for t in tgts):
             raise ContractError(f"variant {variant.value} needs a target input")
         v_s, v_st, v_t = self._encode(sents, tgts if variant.encodes_target else None, rng)
+        if not variant.heads:
+            return combine_single(v_s if variant is Variant.BASE_ALL2ALL else v_st, self.heads)
 
-        if variant is Variant.BASE_ALL2ALL:
-            return combine_single(v_s, self.heads)
-        if variant is Variant.SEQ:
-            return combine_single(v_st, self.heads)
-        if variant is Variant.NO_MIP:
-            h_g = contrast_head(v_s, v_st, self.heads, p, rng)
-            return combine_single(h_g, self.heads)
-
-        h_f = interaction_head(v_st, v_t, self.heads, p, rng)
-        if variant is Variant.NO_SPV:
-            return combine_single(h_f, self.heads)
-        h_g = contrast_head(v_s, v_st, self.heads, p, rng)
-        return combine_pair(h_f, h_g, self.heads)
+        # the heads run in declared order, each drawing its dropout mask from rng
+        p = self.cfg.encoder.dropout
+        run = {Head.MIP: lambda: interaction_head(v_st, v_t, self.heads, p, rng),
+               Head.SPV: lambda: contrast_head(v_s, v_st, self.heads, p, rng)}
+        rows = [run[head]() for head in variant.heads]
+        return combine_pair(*rows, self.heads) if len(rows) == 2 else combine_single(*rows, self.heads)
 
     def score_instance(self, inst: Instance, rng: Rng | None = None) -> Tensor:
         """[1] score for one instance: a batch of one."""

@@ -457,6 +457,37 @@ class TestCv:
         assert err == f"usage error: k 17 exceeds the 16 distinct sentences of {workdir / 'train.tsv'}\n"
 
 
+# every output a command writes into a directory it is given, with train's also under --dry-run
+OUTPUT_PATHS = [("tokenizer-train", "--out"), ("train", "--out"), ("train", "--log"),
+                ("train", "--save-train-state"), ("eval", "--report"), ("cv", "--report")]
+OUTPUT_CASES = [(*case, False) for case in OUTPUT_PATHS] + [(*case, True) for case in OUTPUT_PATHS
+                                                            if case[0] == "train"]
+
+
+class TestOutputPaths:
+    """An output path in a missing directory is a usage error, found before any corpus is read."""
+
+    @pytest.mark.parametrize("command, flag, dry_run", OUTPUT_CASES,
+                             ids=[f"{c} {f}" + " --dry-run" * d for c, f, d in OUTPUT_CASES])
+    def test_missing_directory(self, workdir, tmp_path, monkeypatch, capsys, command, flag, dry_run):
+        argv = {
+            "tokenizer-train": ["--corpus", workdir / "train.tsv", "--out", tmp_path / "vocab.txt"],
+            "train": ["--corpus", workdir / "train.tsv", "--vocab", workdir / "vocab.txt",
+                      "--config", workdir / "tiny.cfg", "--out", tmp_path / "model.ckpt"],
+            "eval": ["--corpus", workdir / "heldout.tsv", "--vocab", workdir / "vocab.txt",
+                     "--checkpoint", workdir / "model.ckpt"],
+            "cv": ["--corpus", workdir / "train.tsv", "--eval-corpus", workdir / "heldout.tsv",
+                   "--vocab", workdir / "vocab.txt", "--config", workdir / "tiny.cfg", "--k", "2"],
+        }[command]
+        monkeypatch.setattr(cli, "_load_instances", lambda path: pytest.fail(f"read {path}"))
+        target = tmp_path / "nodir" / "out"
+        code = run(workdir, command, *argv, flag, target, *["--dry-run"] * dry_run)
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith("usage error: ") and err.endswith(f": {target}\n") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestUsage:
     """argparse-level failures."""
 

@@ -7,6 +7,7 @@ import pytest
 
 from fdcheck import check_grads
 
+import melbert.model
 from melbert.autodiff import Tape, Tensor
 from melbert.bpe import train_bpe
 from melbert.data import Instance, make_synthetic_corpus
@@ -105,6 +106,43 @@ class TestBatchedScoring:
             model.score_batch([sent, sent], [tgt])
         with pytest.raises(ContractError):
             model.score_batch([], [])
+
+
+class TestHeadOrder:
+    """A training pass calls exactly its variant's heads, in declared order.
+
+    Each head draws its dropout mask from the pass's rng when it is called,
+    so this order is the order of the draws, and so of the trained numbers.
+    """
+
+    CALLS = {
+        Variant.MELBERT: ["interaction_head", "contrast_head", "combine_pair"],
+        Variant.NO_SPV: ["interaction_head", "combine_single"],
+        Variant.NO_MIP: ["contrast_head", "combine_single"],
+        Variant.SEQ: ["combine_single"],
+        Variant.BASE_ALL2ALL: ["combine_single"],
+    }
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_calls(self, vocab, variant, monkeypatch):
+        rng = Rng(6, "drop")
+        calls = []
+
+        def recorder(name, fn):
+            def call(*args):
+                if name.endswith("_head"):
+                    assert args[-2:] == (0.1, rng)  # the pass's dropout and stream
+                calls.append(name)
+                return fn(*args)
+            return call
+
+        for name in ("interaction_head", "contrast_head", "combine_pair", "combine_single"):
+            monkeypatch.setattr(melbert.model, name, recorder(name, getattr(melbert.model, name)))
+        model = make_model(vocab, variant, dropout=0.1)
+        prepared = [model.build_inputs(i) for i in CORPUS[:4]]
+        scores = model.score_batch([s for s, _ in prepared], [g for _, g in prepared], rng=rng)
+        assert calls == self.CALLS[variant]
+        assert scores.shape == (4,)
 
 
 class TestPinnedEvalScores:
