@@ -28,7 +28,7 @@ import heapq
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .errors import ConfigError, ContractError, FormatError, VocabError
+from .errors import ConfigError, ContractError, FormatError, VocabError, read_text
 
 MARKER = "▁"  # word-start sentinel, rendered as a low line
 
@@ -161,8 +161,7 @@ class Vocab:
         have written: each token listed once, ids exactly 0..n-1, the
         reserved tokens at ids 0-3, and each merge's left part, right part
         and joined string all tokens. Errors name the offending line."""
-        with open(path, encoding="utf-8", newline="\n") as fh:
-            lines = fh.read().split("\n")
+        lines = read_text(path).split("\n")
         if not lines or lines[0] != _FILE_HEADER:
             raise FormatError(f"line 1: expected header {_FILE_HEADER!r}")
         token_to_id: dict[str, int] = {}

@@ -24,7 +24,8 @@ view outlives the ``with`` block, so a later save or a truncation of the
 file cannot fault an array in use. Building a model
 (``training.load_model``) looks up only the model's own blocks and
 copies each into its parameter once; the Adam moments of a training
-checkpoint are read only on a resume.
+checkpoint are read only on a resume, taken through ``params.Take`` as
+the parameters are.
 """
 
 from __future__ import annotations

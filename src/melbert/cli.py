@@ -18,6 +18,7 @@ import argparse
 import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import sys
@@ -26,7 +27,7 @@ from typing import Annotated
 from .bpe import Vocab, train_bpe
 from .data import Instance, first_rows, load_corpus, summarize
 from .encoder import EncoderConfig
-from .errors import ConfigError, MelbertError
+from .errors import ConfigError, MelbertError, read_text
 from .evaluation import (
     evaluate_model,
     render_table,
@@ -75,7 +76,7 @@ def parse_config_file(path, command: str) -> dict:
     """Read ``key = value`` lines; # starts a comment anywhere."""
     keys = command_settings(command)
     settings = {}
-    with open(path, encoding="utf-8") as fh:
+    with io.StringIO(read_text(path, ConfigError), newline=None) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -138,6 +139,9 @@ def _require_file(path, what: str) -> None:
 
 
 def _require_dir_of(path, what: str) -> None:
+    """An output path must name a file, in a directory that exists."""
+    if path is not None and os.path.isdir(path):
+        raise UsageError(f"{what} is a directory: {path}")
     if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
         raise UsageError(f"directory of {what} not found: {path}")
 

@@ -14,7 +14,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, FormatError
+from .errors import ConfigError, ContractError, FormatError, read_text
 from .rng import Rng
 
 HEADER = "sentence_id\ttokens\ttarget_index\tlabel\tpos\tgenre"
@@ -72,8 +72,7 @@ def load_corpus(path) -> LoadResult:
     Malformed rows are collected into the error report with their line
     numbers rather than silently dropped; a wrong header fails outright.
     """
-    with open(path, encoding="utf-8", newline="\n") as fh:
-        lines = fh.read().split("\n")
+    lines = read_text(path).split("\n")
     if not lines or lines[0] != HEADER:
         raise FormatError(f"line 1: expected header {HEADER!r}")
     instances: list[Instance] = []

@@ -8,6 +8,7 @@ source for each value in declaration order:
   seeded init stream, and constant fills;
 - ``Take`` gives a loaded model the named arrays of a checkpoint, each
   checked against its declared shape and copied once. It draws nothing.
+  A resume takes the Adam moments through it too, by their prefixes.
 """
 
 from __future__ import annotations
@@ -40,12 +41,12 @@ class Take:
         self.prefix = prefix
 
     def normal(self, name: str, shape: tuple, std: float) -> Tensor:
-        return self._take(name, shape)
+        return self.take(name, shape)
 
     def fill(self, name: str, shape: tuple, value: float) -> Tensor:
-        return self._take(name, shape)
+        return self.take(name, shape)
 
-    def _take(self, name: str, shape: tuple) -> Tensor:
+    def take(self, name: str, shape: tuple) -> Tensor:
         key = self.prefix + name
         arr = self.arrays.get(key)
         if arr is None:

@@ -2,15 +2,16 @@
 
 A setting's name, type, domain and default are written once, as a field
 of a frozen dataclass that mixes in ``Settings``; the domain is part of
-the type (``Annotated[int, Range(ge=1)]``, or a ``Literal`` or an
-``Enum`` of strings). ``check`` tests a value against it, and every
-config checks each of its fields when made. ``to_dict`` gives the JSON
-form a checkpoint stores; ``from_dict`` reads it back strictly, naming
-the dotted key (``model.encoder.hidden_dim``) of a missing, unknown or
-refused value. ``Spec.parse`` reads a value from a config file line or a
-flag, and ``parse_text`` checks it too. A value of the wrong type is
-reported against its type (``must be int``), one outside its domain
-against the domain (``must be int >= 1``), as ``--help`` prints it.
+the type (``Annotated[int, Range(ge=1)]``, a ``Literal`` or an ``Enum`` of
+strings, or a ``list[float]`` of items checked each). ``check`` tests a
+value against it, and every config checks each of its fields when made.
+``to_dict`` gives the JSON form a checkpoint stores; ``from_dict`` reads it
+back strictly, naming the dotted key (``model.encoder.hidden_dim``) of a
+missing, unknown or refused value. ``Spec.parse`` reads a value from a
+config file line or a flag, and ``parse_text`` checks it too. A value of
+the wrong type is reported against its type (``must be int``), one
+outside its domain against the domain (``must be int >= 1``), as
+``--help`` prints it.
 """
 
 from __future__ import annotations
@@ -44,9 +45,9 @@ class Range:
 
 class Spec(typing.NamedTuple):
     """A declared type taken apart, as ``check`` and ``parse`` read it."""
-    base: type          # int, float, str, an Enum or a Settings class
+    base: type          # int, float, str, list, an Enum or a Settings class
     optional: bool      # whether None is a value
-    domain: typing.Any  # a Range, a Literal's strings, or None for every value of ``base``
+    domain: typing.Any  # a Range, a Literal's strings, a list's item Spec, or None for every value of ``base``
     type_name: str      # the type alone: "int or none"
     label: str          # the type with its domain: "int >= 1 or none"
 
@@ -70,7 +71,11 @@ def spec(hint) -> Spec:
         base, domain = typing.get_args(hint)
     elif typing.get_origin(hint) is typing.Literal:
         base, domain = str, typing.get_args(hint)
-    if isinstance(domain, tuple) or issubclass(base, enum.Enum):
+    elif typing.get_origin(hint) is list:
+        base, domain = list, spec(typing.get_args(hint)[0])  # the items' spec
+    if isinstance(domain, Spec):
+        name, label = f"list of {domain.type_name}", f"list of {domain.label}"
+    elif isinstance(domain, tuple) or issubclass(base, enum.Enum):
         name = label = "one of " + ", ".join(domain or [m.value for m in base])
     else:
         name, label = base.__name__, f"{base.__name__} {domain or ''}".rstrip()
@@ -146,6 +151,8 @@ def check(s: Spec, value, key: str = ""):
         return value
     if isinstance(value, bool) or not isinstance(value, (int, float) if s.base is float else s.base):
         label = s.type_name  # a bool is an int to Python, but never a number here
+    elif s.base is list:
+        return [check(s.domain, item, key) for item in value]
     elif (s.base is float and not math.isfinite(value)) or (s.domain is not None and value not in s.domain):
         label = s.label
     else:
@@ -164,6 +171,8 @@ def _read(s: Spec, value, key: str):
             pass
     elif s.base is float and type(value) is int:
         value = float(value)
+    elif s.base is list and isinstance(value, list):
+        value = [_read(s.domain, item, key) for item in value]
     return check(s, value, key)
 
 

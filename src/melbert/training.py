@@ -9,11 +9,13 @@ same path with a batch of one.) Every random decision after model
 init flows from one Philox stream whose state is written into the
 training checkpoint; restoring it replays the identical shuffle and
 dropout sequence, which is what makes an interrupted run byte-identical
-to an uninterrupted one.
+to an uninterrupted one. The rest of the run state is the ``RunState``
+settings; the Adam moments are taken through ``params.Take``.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import os
 from collections.abc import Mapping
@@ -27,11 +29,12 @@ from .autodiff import Tape
 from .bpe import Vocab
 from .checkpoint import open_checkpoint, save_checkpoint
 from .data import Instance, kfold_split
-from .errors import ConfigError, ContractError, FormatError, TrainingDivergedError
+from .errors import ConfigError, ContractError, FormatError, TrainingDivergedError, read_text
 from .heads import bce_loss, mse_loss
 from .model import MetaphorModel, ModelConfig, Prediction
+from .params import Take
 from .rng import Rng
-from .settings import Range, Settings, check, check_keys, spec
+from .settings import Range, Settings, check, check_keys, schema, spec
 
 
 # Adam's moment decay rates and denominator guard
@@ -59,6 +62,22 @@ class TrainConfig(Settings):
 
 # the domain of a step or epoch count
 Count = Annotated[int, Range(ge=0)]
+
+
+@dataclass(frozen=True)
+class RunState(Settings):
+    """Where a training run stands at an epoch boundary, as its checkpoint stores it."""
+    train: TrainConfig
+    seed: Annotated[int, Range()]
+    epoch: Count
+    global_step: Count
+    adam_t: Count
+    loss_curve: list[float]
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.epoch > self.train.epochs:
+            raise ConfigError(f"'epoch' must be at most train.epochs ({self.train.epochs}), got {self.epoch!r}")
 
 
 def lr_at(step: int, total_steps: int, cfg: TrainConfig) -> float:
@@ -148,17 +167,8 @@ def _live_arrays(model: MetaphorModel) -> dict[str, np.ndarray]:
 
 
 def save_train_checkpoint(path, model, train_cfg, adam, train_rng, seed, epoch, global_step, loss_curve):
-    meta = {
-        "kind": "train",
-        "model": model.cfg.to_dict(),
-        "train": train_cfg.to_dict(),
-        "seed": seed,
-        "epoch": epoch,
-        "global_step": global_step,
-        "adam_t": adam.t,
-        "rng_state": train_rng.state(),
-        "loss_curve": list(loss_curve),
-    }
+    state = RunState(train_cfg, seed, epoch, global_step, adam.t, list(loss_curve))
+    meta = {"kind": "train", "model": model.cfg.to_dict(), "rng_state": train_rng.state(), **state.to_dict()}
     arrays = _live_arrays(model)
     for k, a in adam.m.items():
         arrays[f"adam.m.{k}"] = a
@@ -174,7 +184,7 @@ def save_model_checkpoint(path, model: MetaphorModel) -> None:
 # the top-level keys of each checkpoint kind's metadata, as its save function writes them
 _META_KEYS = {
     "model": ("kind", "model"),
-    "train": ("kind", "model", "train", "seed", "epoch", "global_step", "adam_t", "rng_state", "loss_curve"),
+    "train": ("kind", "model", "rng_state", *(f.name for f in schema(RunState))),
 }
 
 
@@ -199,23 +209,59 @@ def _read_meta(meta) -> ModelConfig:
     raise ContractError(f"checkpoint kind {kind!r} is not loadable as a model")
 
 
-def _read_run_state(meta) -> tuple[TrainConfig, Rng]:
-    """The training config and the restored training stream of a training
-    checkpoint's metadata, which ``_read_meta`` has read. A value a resume
-    uses that is mistyped, outside its domain or at odds with the rest of
-    the run state is a ``FormatError`` naming its key."""
+def _restore(cfg: ModelConfig, meta: dict, blocks: Mapping[str, np.ndarray], vocab: Vocab) -> MetaphorModel:
+    """The parameter loader: the model a checkpoint holds.
+
+    ``cfg`` and ``meta`` come from ``_read_meta``; ``blocks`` from
+    ``open_checkpoint``. Each parameter is copied once from its block;
+    nothing is drawn. Only the names of the ``adam.`` blocks are read: a
+    model checkpoint may hold none, and a training checkpoint's are left
+    to ``_restore_adam``.
+    """
+    params = {k: blocks[k] for k in blocks if not k.startswith("adam.")}
+    model = MetaphorModel.from_arrays(cfg, vocab, params)
+    if meta["kind"] == "model":
+        moments = [k for k in blocks if k.startswith("adam.")]
+        if moments:
+            raise ContractError(f"model checkpoint has optimizer block {min(moments)!r}")
+    return model
+
+
+def _restore_adam(model: MetaphorModel, run: RunState, blocks: Mapping[str, np.ndarray]) -> AdamState:
+    """The Adam moments of a training checkpoint, taken as the parameters are;
+    an ``adam.`` block that is no parameter's moment is an error."""
+    params = model.parameters()
+    unknown = {k for k in blocks if k.startswith("adam.")} - {f"adam.{x}.{name}" for x in "mv" for name in params}
+    if unknown:
+        raise ContractError(f"training checkpoint has unknown optimizer block {min(unknown)!r}")
+    m, v = Take(blocks, "adam.m."), Take(blocks, "adam.v.")
+    return AdamState({name: m.take(name, t.shape).data for name, t in params.items()},
+                     {name: v.take(name, t.shape).data for name, t in params.items()}, t=run.adam_t)
+
+
+def load_model(path, vocab: Vocab) -> MetaphorModel:
+    """The model saved at ``path``, from a model or a training checkpoint.
+
+    The file is mapped, not read: only the blocks of the model's own
+    parameters are made into arrays, each checked for its declared shape
+    and copied once, and no init is drawn. Any other parameter block is a
+    ``ContractError``, as is an ``adam.`` block in a model checkpoint; a
+    training checkpoint's moments and its ``train`` section are not read.
+    """
+    with open_checkpoint(path) as (meta, blocks):
+        return _restore(_read_meta(meta), meta, blocks, vocab)
+
+
+def _resumable(meta, model_cfg: ModelConfig, cfg: TrainConfig, seed: int) -> tuple[RunState, Rng]:
+    """The run state and the restored training stream of a checkpoint that
+    a run of these settings may resume; any other checkpoint is refused. A
+    bad value in either is a ``FormatError`` naming its dotted key."""
+    saved_model_cfg = _read_meta(meta)
+    if meta["kind"] != "train":
+        raise ContractError("resume checkpoint must be a training checkpoint")
     state = meta["rng_state"]
     try:
-        cfg = TrainConfig.from_dict(meta["train"], "train")
-        for key, hint in (("seed", int), ("epoch", Count), ("global_step", Count), ("adam_t", Count)):
-            check(spec(hint), meta[key], key)
-        if meta["epoch"] > cfg.epochs:
-            raise ConfigError(f"'epoch' must be at most train.epochs ({cfg.epochs}), got {meta['epoch']!r}")
-        curve = meta["loss_curve"]
-        bad = ([x for x in curve if isinstance(x, bool) or not isinstance(x, (int, float))]
-               if isinstance(curve, list) else [curve])
-        if bad:
-            raise ConfigError(f"'loss_curve' must be a list of numbers, got {bad[0]!r}")
+        run = RunState.from_dict({f.name: meta[f.name] for f in schema(RunState)})
         if not isinstance(state, dict):
             raise ConfigError(f"'rng_state' must be an object, got {state!r}")
         check_keys(state, ("seed", "stream", "bitgen"), "rng_state")
@@ -239,76 +285,11 @@ def _read_run_state(meta) -> tuple[TrainConfig, Rng]:
                               f"rng_state.stream, got {key['__ndarray__']!r}")
     except ConfigError as e:
         raise FormatError(f"checkpoint metadata: {e}") from e
-    return cfg, rng
-
-
-def _restore(cfg: ModelConfig, meta: dict, blocks: Mapping[str, np.ndarray], vocab: Vocab) -> MetaphorModel:
-    """The parameter loader: the model a checkpoint holds.
-
-    ``cfg`` and ``meta`` come from ``_read_meta``; ``blocks`` from
-    ``open_checkpoint``. Each parameter is copied once from its block;
-    nothing is drawn. Only the names of the ``adam.`` blocks are read: a
-    model checkpoint may hold none, and a training checkpoint's are left
-    to ``_restore_adam``.
-    """
-    params = {k: blocks[k] for k in blocks if not k.startswith("adam.")}
-    model = MetaphorModel.from_arrays(cfg, vocab, params)
-    if meta["kind"] == "model":
-        moments = [k for k in blocks if k.startswith("adam.")]
-        if moments:
-            raise ContractError(f"model checkpoint has optimizer block {min(moments)!r}")
-    return model
-
-
-def _restore_adam(model: MetaphorModel, meta: dict, blocks: Mapping[str, np.ndarray]) -> AdamState:
-    """The Adam moments of a training checkpoint, each copied from its block.
-
-    Each parameter needs an ``adam.m.`` and an ``adam.v.`` block of its
-    own shape; any other ``adam.`` block is an error.
-    """
-    moments = {k for k in blocks if k.startswith("adam.")}
-    m: dict[str, np.ndarray] = {}
-    v: dict[str, np.ndarray] = {}
-    for name, tensor in model.parameters().items():
-        for key, into in (("m", m), ("v", v)):
-            block = f"adam.{key}.{name}"
-            if block not in moments:
-                raise ContractError(f"training checkpoint is missing optimizer block {block!r}")
-            moments.remove(block)
-            arr = blocks[block]
-            if arr.shape != tensor.shape:
-                raise ContractError(f"optimizer block {block!r} shape {arr.shape} != parameter shape {tensor.shape}")
-            into[name] = np.array(arr, dtype=np.float64)
-    if moments:
-        raise ContractError(f"training checkpoint has unknown optimizer block {min(moments)!r}")
-    return AdamState(m, v, t=meta["adam_t"])
-
-
-def load_model(path, vocab: Vocab) -> MetaphorModel:
-    """The model saved at ``path``, from a model or a training checkpoint.
-
-    The file is mapped, not read: only the blocks of the model's own
-    parameters are made into arrays, each checked for its declared shape
-    and copied once, and no init is drawn. Any other parameter block is a
-    ``ContractError``, as is an ``adam.`` block in a model checkpoint; a
-    training checkpoint's moments and its ``train`` section are not read.
-    """
-    with open_checkpoint(path) as (meta, blocks):
-        return _restore(_read_meta(meta), meta, blocks, vocab)
-
-
-def _resumable(meta, model_cfg: ModelConfig, cfg: TrainConfig, seed: int) -> Rng:
-    """The training stream of a checkpoint that a run of these settings
-    may resume; any other checkpoint is refused."""
-    saved_model_cfg = _read_meta(meta)
-    if meta["kind"] != "train":
-        raise ContractError("resume checkpoint must be a training checkpoint")
-    saved_cfg, train_rng = _read_run_state(meta)
-    if saved_model_cfg != model_cfg or saved_cfg != cfg:
+    if saved_model_cfg != model_cfg or run.train != cfg:
         raise ContractError("resume checkpoint was written under a different configuration")
-    if meta["seed"] != seed:
-        raise ContractError(f"resume checkpoint is for seed {meta['seed']}, not {seed}")
-    return train_rng
+    if run.seed != seed:
+        raise ContractError(f"resume checkpoint is for seed {run.seed}, not {seed}")
+    return run, rng
 
 
 def open_log(path, model_cfg: ModelConfig, cfg: TrainConfig, seed: int, resume_from=None):
@@ -320,12 +301,12 @@ def open_log(path, model_cfg: ModelConfig, cfg: TrainConfig, seed: int, resume_f
     if resume_from is None or not os.path.exists(path):
         return open(path, "w", encoding="utf-8")
     with open_checkpoint(resume_from) as (meta, _):
-        _resumable(meta, model_cfg, cfg, seed)  # a checkpoint train_single refuses cuts nothing
+        run = _resumable(meta, model_cfg, cfg, seed)[0]  # a checkpoint train_single refuses cuts nothing
     kept = []
-    with open(path, encoding="utf-8") as fh:
+    with io.StringIO(read_text(path), newline=None) as fh:
         for n, line in enumerate(fh, 1):
             try:  # only the last line can lack its newline
-                if line.endswith("\n") and json.loads(line)["step"] <= meta["global_step"]:
+                if line.endswith("\n") and json.loads(line)["step"] <= run.global_step:
                     kept.append(line)
             except (ValueError, KeyError, TypeError) as e:
                 raise FormatError(f"{path}: line {n} is not a step record") from e
@@ -362,17 +343,13 @@ def train_single(
         train_rng = Rng(seed, "train")
         model = MetaphorModel(model_cfg, vocab, seed)
         adam = AdamState.init_like(model.parameters())
-        start_epoch = 0
-        global_step = 0
-        loss_curve: list[float] = []
+        run = RunState(cfg, seed, epoch=0, global_step=0, adam_t=0, loss_curve=[])
     else:
         with open_checkpoint(resume_from) as (meta, blocks):
-            train_rng = _resumable(meta, model_cfg, cfg, seed)
+            run, train_rng = _resumable(meta, model_cfg, cfg, seed)
             model = _restore(model_cfg, meta, blocks, vocab)
-            adam = _restore_adam(model, meta, blocks)
-        start_epoch = meta["epoch"]
-        global_step = meta["global_step"]
-        loss_curve = list(meta["loss_curve"])
+            adam = _restore_adam(model, run, blocks)
+    global_step, loss_curve = run.global_step, list(run.loss_curve)
 
     prepared = [model.build_inputs(i) for i in dataset]
     loss_fn, labels = _objective(dataset, cfg)
@@ -380,7 +357,7 @@ def train_single(
     n_batches = (n + cfg.batch_size - 1) // cfg.batch_size
     total_steps = cfg.epochs * n_batches
 
-    for epoch in range(start_epoch, cfg.epochs):
+    for epoch in range(run.epoch, cfg.epochs):
         perm = train_rng.permutation(n)
         epoch_losses = []
         for b in range(n_batches):

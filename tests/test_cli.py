@@ -457,19 +457,23 @@ class TestCv:
         assert err == f"usage error: k 17 exceeds the 16 distinct sentences of {workdir / 'train.tsv'}\n"
 
 
-# every output a command writes into a directory it is given, with train's also under --dry-run
+# every output a command writes into a directory it is given, with train's also under --dry-run,
+# each given in a missing directory and then as an existing directory
 OUTPUT_PATHS = [("tokenizer-train", "--out"), ("train", "--out"), ("train", "--log"),
                 ("train", "--save-train-state"), ("eval", "--report"), ("cv", "--report")]
-OUTPUT_CASES = [(*case, False) for case in OUTPUT_PATHS] + [(*case, True) for case in OUTPUT_PATHS
-                                                            if case[0] == "train"]
+OUTPUT_CASES = [(*case, dry_run, existing) for existing in (False, True) for dry_run in (False, True)
+                for case in OUTPUT_PATHS if case[0] == "train" or not dry_run]
 
 
 class TestOutputPaths:
-    """An output path in a missing directory is a usage error, found before any corpus is read."""
+    """An output path in a missing directory, or one that is a directory, is a
+    usage error, found before any corpus is read."""
 
-    @pytest.mark.parametrize("command, flag, dry_run", OUTPUT_CASES,
-                             ids=[f"{c} {f}" + " --dry-run" * d for c, f, d in OUTPUT_CASES])
-    def test_missing_directory(self, workdir, tmp_path, monkeypatch, capsys, command, flag, dry_run):
+    @pytest.mark.parametrize("command, flag, dry_run, existing_directory", OUTPUT_CASES,
+                             ids=[f"{c} {f}" + " --dry-run" * d + " existing directory" * e
+                                  for c, f, d, e in OUTPUT_CASES])
+    def test_missing_directory(self, workdir, tmp_path, monkeypatch, capsys, command, flag, dry_run,
+                               existing_directory):
         argv = {
             "tokenizer-train": ["--corpus", workdir / "train.tsv", "--out", tmp_path / "vocab.txt"],
             "train": ["--corpus", workdir / "train.tsv", "--vocab", workdir / "vocab.txt",
@@ -480,12 +484,61 @@ class TestOutputPaths:
                    "--vocab", workdir / "vocab.txt", "--config", workdir / "tiny.cfg", "--k", "2"],
         }[command]
         monkeypatch.setattr(cli, "_load_instances", lambda path: pytest.fail(f"read {path}"))
-        target = tmp_path / "nodir" / "out"
+        target = tmp_path if existing_directory else tmp_path / "nodir" / "out"
         code = run(workdir, command, *argv, flag, target, *["--dry-run"] * dry_run)
         out, err = capsys.readouterr()
         assert code == 2 and out == ""
         assert err.startswith("usage error: ") and err.endswith(f": {target}\n") and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
+
+
+# each text file a command reads, with a byte that is not valid UTF-8:
+# (command, flag, the file it spoils, exit code)
+UNDECODABLE = {
+    "train --vocab": ("train", "--vocab", "vocab.txt", 1),
+    "train --corpus": ("train", "--corpus", "train.tsv", 1),
+    "train --config": ("train", "--config", "tiny.cfg", 2),
+    "eval --corpus": ("eval", "--corpus", "heldout.tsv", 1),
+    "eval --vocab": ("eval", "--vocab", "model.ckpt", 1),  # a checkpoint, binary, given as the vocabulary
+    "train --resume --log": ("train", "--log", "steps.jsonl", 1),
+}
+
+
+class TestUndecodableInput:
+    """A file that is not UTF-8 is one error line naming it and the byte
+    offset: exit 2 for a config file, exit 1 for a data file."""
+
+    @pytest.mark.parametrize("case", UNDECODABLE)
+    def test_one_error_line(self, workdir, tmp_path, capsys, case):
+        command, flag, name, code = UNDECODABLE[case]
+        if command == "train":
+            inputs = {"--corpus": workdir / "train.tsv", "--vocab": workdir / "vocab.txt",
+                      "--config": workdir / "tiny.cfg", "--out": tmp_path / "out.ckpt"}
+            rest = ["--dry-run"]
+        else:
+            inputs = {"--corpus": workdir / "heldout.tsv", "--vocab": workdir / "vocab.txt",
+                      "--checkpoint": workdir / "model.ckpt"}
+            rest = []
+        source = workdir / name
+        if flag == "--log":  # a step log is read on a resume; this run writes both
+            source = tmp_path / name
+            assert run(workdir, command, *flat(inputs), "--log", source,
+                       "--save-train-state", tmp_path / "state.ckpt") == 0
+            rest = ["--resume", tmp_path / "state.ckpt"]
+        good = source.read_bytes()
+        offset = None if name == "model.ckpt" else good.index(b"\n") + 1
+        inputs[flag] = tmp_path / f"bad-{name}"
+        inputs[flag].write_bytes(good if offset is None else good[:offset] + b"\xff" + good[offset:])
+        capsys.readouterr()
+        assert run(workdir, command, *flat(inputs), *rest) == code
+        prefix = "usage error" if code == 2 else "error"
+        at = r"\d+" if offset is None else str(offset)
+        message = rf"{prefix}: {re.escape(str(inputs[flag]))}: byte {at} is not valid UTF-8\n"
+        assert re.fullmatch(message, capsys.readouterr().err)
+
+
+def flat(flags: dict) -> list:
+    return [x for item in flags.items() for x in item]
 
 
 class TestUsage:

@@ -9,13 +9,25 @@ from melbert.cli import RunSettings
 from melbert.encoder import EncoderConfig
 from melbert.errors import ConfigError
 from melbert.model import ModelConfig, Variant
-from melbert.settings import Range, parse_text, schema
-from melbert.training import TrainConfig
+from melbert.settings import Range, Settings, parse_text, schema
+from melbert.training import RunState, TrainConfig
 
 ENCODER = EncoderConfig(vocab_size=50, num_layers=3, hidden_dim=32, dropout=0.1)
 MODEL = ModelConfig(encoder=ENCODER, variant=Variant.NO_MIP, head_dim=8, threshold=0.4,
                     target_pooling="cls", max_len=64)
 TRAIN = TrainConfig(epochs=2, batch_size=4, peak_lr=1e-3, grad_clip=1.0, objective="mse")
+RUN = RunState(train=TRAIN, seed=-3, epoch=1, global_step=6, adam_t=6, loss_curve=[0.7, 0.25])
+
+# every config class, found as a subclass of Settings rather than listed, so a new one is covered
+SCHEMAS = sorted(Settings.__subclasses__(), key=lambda cls: cls.__name__)
+# configs of each class, set and defaulted, by test id
+EXAMPLES = {
+    EncoderConfig: {"encoder": ENCODER, "encoder-defaults": EncoderConfig(vocab_size=9)},
+    ModelConfig: {"model": MODEL, "model-defaults": ModelConfig(encoder=EncoderConfig(vocab_size=9))},
+    TrainConfig: {"train": TRAIN, "train-defaults": TrainConfig()},
+    RunSettings: {"run-settings": RunSettings(seed=-3, k=4), "run-settings-defaults": RunSettings()},
+    RunState: {"run-state": RUN},
+}
 
 
 def model_dict(**edits) -> dict:
@@ -27,10 +39,11 @@ def model_dict(**edits) -> dict:
 class TestRoundTrip:
     """from_dict(to_dict(cfg)) == cfg, and the stored form is plain JSON."""
 
-    @pytest.mark.parametrize("cfg", [ENCODER, MODEL, TRAIN, EncoderConfig(vocab_size=9),
-                                     ModelConfig(encoder=EncoderConfig(vocab_size=9)), TrainConfig()],
-                             ids=["encoder", "model", "train", "encoder-defaults",
-                                  "model-defaults", "train-defaults"])
+    def test_every_schema_has_an_example(self):
+        assert [cls.__name__ for cls in SCHEMAS if cls not in EXAMPLES] == []
+
+    @pytest.mark.parametrize("cfg", [pytest.param(cfg, id=name) for cls in SCHEMAS
+                                     for name, cfg in EXAMPLES.get(cls, {}).items()])
     def test_round_trip(self, cfg):
         assert type(cfg).from_dict(cfg.to_dict()) == cfg
 
@@ -83,11 +96,16 @@ class TestStrictReader:
         ("head_dim", "none", "int or none"),
         ("variant", "MELBERT", "one of melbert, no_mip, no_spv, base_all2all, seq"),
         ("variant", None, "one of melbert, no_mip, no_spv, base_all2all, seq"),
+        ("loss_curve", 0.5, "list of float"),
+        ("loss_curve", [0.5, True], "float"),
+        ("loss_curve", [0.5, float("nan")], "float"),
     ])
     def test_wrong_type_or_domain(self, key, value, label):
+        cfg, where = (RUN, "run") if key in RUN.to_dict() else (MODEL, "model")
         with pytest.raises(ConfigError) as exc:
-            ModelConfig.from_dict(model_dict(**{key: value}), "model")
-        assert str(exc.value) == f"'model.{key}' must be {label}, got {value!r}"
+            type(cfg).from_dict(cfg.to_dict() | {key: value}, where)
+        got = value[-1] if isinstance(value, list) else value  # a list's bad item is named, not the list
+        assert str(exc.value) == f"'{where}.{key}' must be {label}, got {got!r}"
 
     def test_nested_wrong_type(self):
         d = model_dict()
@@ -99,6 +117,8 @@ class TestStrictReader:
         cfg = TrainConfig.from_dict(TRAIN.to_dict() | {"objective": "bce", "pos_weight": 2, "grad_clip": 3})
         assert (cfg.pos_weight, cfg.grad_clip) == (2.0, 3.0)
         assert type(cfg.pos_weight) is float and type(cfg.grad_clip) is float
+        curve = RunState.from_dict(RUN.to_dict() | {"loss_curve": [1, 0.5]}).loss_curve
+        assert curve == [1.0, 0.5] and type(curve[0]) is float
 
     def test_optional_takes_null(self):
         assert ModelConfig.from_dict(model_dict(head_dim=None), "model").head_dim is None
@@ -155,7 +175,7 @@ class TestParseText:
 class TestDomains:
     """Each setting's domain is declared in its type and checked however a config is made."""
 
-    @pytest.mark.parametrize("cls", [EncoderConfig, ModelConfig, TrainConfig, RunSettings])
+    @pytest.mark.parametrize("cls", SCHEMAS, ids=lambda cls: cls.__name__)
     def test_every_number_declares_a_domain(self, cls):
         for f in schema(cls):
             if f.spec.base in (int, float):

@@ -430,7 +430,7 @@ class TestLoader:
 
     def test_missing_moment_rejected(self, train_ckpt, tmp_path):
         path = rewrite(train_ckpt, tmp_path / "t.ckpt", lambda a: a.pop("adam.m.head.w"))
-        with pytest.raises(ContractError, match="missing optimizer block 'adam.m.head.w'"):
+        with pytest.raises(ContractError, match="missing parameter 'adam.m.head.w'"):
             self.resume(path)
 
     def test_unknown_moment_rejected(self, train_ckpt, tmp_path):
@@ -450,7 +450,7 @@ class TestLoader:
             arrays["adam.v.head.b"] = np.zeros(2)
 
         path = rewrite(train_ckpt, tmp_path / "t.ckpt", reshape)
-        with pytest.raises(ContractError, match=r"optimizer block 'adam.v.head.b' shape \(2,\)"):
+        with pytest.raises(ContractError, match=r"'adam.v.head.b' shape \(2,\)"):
             self.resume(path)
 
 
@@ -539,9 +539,9 @@ class TestMetadata:
         ("epoch", -1, "int >= 0, got -1"),
         ("global_step", 3.0, "int, got 3.0"),
         ("adam_t", True, "int, got True"),
-        ("loss_curve", 5, "a list of numbers, got 5"),
-        ("loss_curve", [0.5, "0.4"], "a list of numbers, got '0.4'"),
-        ("loss_curve", [False], "a list of numbers, got False"),
+        ("loss_curve", 5, "list of float, got 5"),
+        ("loss_curve", [0.5, "0.4"], "float, got '0.4'"),
+        ("loss_curve", [False], "float, got False"),
         ("rng_state", [], "an object, got []"),
         ("rng_state.seed", "0", "int, got '0'"),
         ("rng_state.stream", 5, "str, got 5"),
