@@ -7,7 +7,8 @@ ablate runs all five variants under one protocol, and cv trains a
 bagged k-fold ensemble. Settings come from an optional config file of
 ``key = value`` lines, overridden by command-line flags; both take the
 fields of the config classes, and a command refuses a setting it would
-not use. Exit codes:
+not use. Each command's files are declared once, in ``_PATHS``, and
+checked before it reads anything. Exit codes:
 0 success, 1 runtime failure, 2 usage problems (bad flags, missing
 files or output directories, malformed settings).
 """
@@ -65,6 +66,25 @@ _NOT_SETTINGS = {"vocab_size", "max_positions", "encoder"}
 # the settings a command would ignore, which it refuses instead
 _UNUSED = {"train": {"k"}, "ablate": {"k", "variant"}, "cv": set()}
 
+# An input must be a file. An output must not be a directory, and its
+# directory must exist. An output directory must not be a file; it is made
+# if missing.
+_IN, _OUT, _OUT_DIR = "input", "output", "output directory"
+# each command's path flags in check order, inputs first: (dest, what, role, required)
+_PATHS = {
+    "tokenizer-train": [("corpus", "corpus", _IN, True), ("out", "vocabulary", _OUT, True)],
+    "train": [("corpus", "corpus", _IN, True), ("vocab", "vocabulary", _IN, True),
+              ("resume", "resume checkpoint", _IN, False), ("out", "model checkpoint", _OUT, True),
+              ("log", "step log", _OUT, False), ("save_train_state", "training checkpoint", _OUT, False)],
+    "eval": [("checkpoint", "checkpoint", _IN, True), ("vocab", "vocabulary", _IN, True),
+             ("corpus", "corpus", _IN, True), ("report", "report", _OUT, False)],
+    "predict": [("checkpoint", "checkpoint", _IN, True), ("vocab", "vocabulary", _IN, True)],
+    "ablate": [("corpus", "corpus", _IN, True), ("eval_corpus", "evaluation corpus", _IN, True),
+               ("vocab", "vocabulary", _IN, True), ("out_dir", "report directory", _OUT_DIR, True)],
+    "cv": [("corpus", "corpus", _IN, True), ("eval_corpus", "evaluation corpus", _IN, True),
+           ("vocab", "vocabulary", _IN, True), ("report", "report", _OUT, False)],
+}
+
 
 def command_settings(command: str) -> dict[str, Field]:
     """The settings ``command`` takes, by key."""
@@ -99,7 +119,8 @@ def resolve_settings(args) -> dict:
     keys = command_settings(args.command)
     settings = {key: f.default for key, f in keys.items()}
     if args.config:
-        _require_file(args.config, "config file")
+        if not os.path.isfile(args.config):
+            raise UsageError(f"config file not found: {args.config}")
         settings.update(parse_config_file(args.config, args.command))
     # a settings flag that was not given leaves no attribute; one that was
     # has its declared type, and its domain is checked here
@@ -133,17 +154,29 @@ def echo_settings(settings: dict) -> str:
     return "\n".join(f"{k} = {plain(settings[k])}" for k in sorted(settings))
 
 
-def _require_file(path, what: str) -> None:
-    if not os.path.isfile(path):
-        raise UsageError(f"{what} not found: {path}")
-
-
-def _require_dir_of(path, what: str) -> None:
-    """An output path must name a file, in a directory that exists."""
-    if path is not None and os.path.isdir(path):
-        raise UsageError(f"{what} is a directory: {path}")
-    if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
-        raise UsageError(f"directory of {what} not found: {path}")
+def check_paths(args) -> None:
+    """Refuse the command's paths by their roles in ``_PATHS``, and an output
+    naming a path the command reads or writes (the config file included).
+    The one allowed repeat is a run saving its state into the file it
+    resumes from."""
+    named = {os.path.realpath(args.config): ("config", "config file")} if getattr(args, "config", None) else {}
+    for dest, what, role, _ in _PATHS[args.command]:
+        path = getattr(args, dest)
+        if path is None:
+            continue
+        if role == _IN and not os.path.isfile(path):
+            raise UsageError(f"{what} not found: {path}")
+        if role == _OUT and os.path.isdir(path):
+            raise UsageError(f"{what} is a directory: {path}")
+        if role == _OUT and not os.path.isdir(os.path.dirname(path) or "."):
+            raise UsageError(f"directory of {what} not found: {path}")
+        if role == _OUT_DIR and os.path.exists(path) and not os.path.isdir(path):
+            raise UsageError(f"{what} is a file: {path}")
+        real = os.path.realpath(path)
+        # inputs come first, so an output meets every path named before it
+        if role != _IN and real in named and (named[real][0], dest) != ("resume", "save_train_state"):
+            raise UsageError(f"{what} would replace the {named[real][1]}: {path}")
+        named.setdefault(real, (dest, what))
 
 
 def dataset_sha256(path) -> str:
@@ -165,9 +198,7 @@ def _load_instances(path) -> list[Instance]:
 # -- subcommands -----------------------------------------------------------
 
 
-def cmd_tokenizer_train(args) -> int:
-    _require_file(args.corpus, "corpus")
-    _require_dir_of(args.out, "vocabulary")
+def cmd_tokenizer_train(args, settings) -> int:
     instances = _load_instances(args.corpus)
     # one line per sentence, not per annotated target
     corpus_lines = (" ".join(inst.tokens) for inst in first_rows(instances).values())
@@ -177,16 +208,7 @@ def cmd_tokenizer_train(args) -> int:
     return 0
 
 
-def cmd_train(args) -> int:
-    settings = resolve_settings(args)
-    refuse_inert(settings)
-    _require_file(args.corpus, "corpus")
-    _require_file(args.vocab, "vocabulary")
-    if args.resume:
-        _require_file(args.resume, "resume checkpoint")
-    _require_dir_of(args.out, "model checkpoint")
-    _require_dir_of(args.log, "step log")
-    _require_dir_of(args.save_train_state, "training checkpoint")
+def cmd_train(args, settings) -> int:
     vocab = Vocab.load(args.vocab)
     instances = _load_instances(args.corpus)
     model_cfg, train_cfg, run = build_configs(settings, len(vocab))
@@ -223,11 +245,7 @@ def _parse_breakdown(spec: str) -> list[str]:
     return parts
 
 
-def cmd_eval(args) -> int:
-    _require_file(args.checkpoint, "checkpoint")
-    _require_file(args.vocab, "vocabulary")
-    _require_file(args.corpus, "corpus")
-    _require_dir_of(args.report, "report")
+def cmd_eval(args, settings) -> int:
     groups = _parse_breakdown(args.breakdown)
     vocab = Vocab.load(args.vocab)
     model = load_model(args.checkpoint, vocab)
@@ -265,9 +283,7 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def cmd_predict(args) -> int:
-    _require_file(args.checkpoint, "checkpoint")
-    _require_file(args.vocab, "vocabulary")
+def cmd_predict(args, settings) -> int:
     vocab = Vocab.load(args.vocab)
     if args.pos_tag not in vocab.pos_tags:
         raise UsageError(f"--pos-tag {args.pos_tag!r} has no marker in the vocabulary; "
@@ -293,11 +309,7 @@ def cmd_predict(args) -> int:
     return 0
 
 
-def cmd_ablate(args) -> int:
-    settings = resolve_settings(args)
-    _require_file(args.corpus, "corpus")
-    _require_file(args.eval_corpus, "evaluation corpus")
-    _require_file(args.vocab, "vocabulary")
+def cmd_ablate(args, settings) -> int:
     vocab = Vocab.load(args.vocab)
     train_set = _load_instances(args.corpus)
     eval_set = _load_instances(args.eval_corpus)
@@ -319,13 +331,7 @@ def cmd_ablate(args) -> int:
     return 0
 
 
-def cmd_cv(args) -> int:
-    settings = resolve_settings(args)
-    refuse_inert(settings)
-    _require_file(args.corpus, "corpus")
-    _require_file(args.eval_corpus, "evaluation corpus")
-    _require_file(args.vocab, "vocabulary")
-    _require_dir_of(args.report, "report")
+def cmd_cv(args, settings) -> int:
     vocab = Vocab.load(args.vocab)
     train_set = _load_instances(args.corpus)
     sentences = len(first_rows(train_set))
@@ -365,13 +371,20 @@ def _flag_type(s: Spec):
     return parse
 
 
-def _add_settings_flags(p: argparse.ArgumentParser, command: str) -> None:
-    """``--config`` and one ``--key-name`` flag per setting ``command`` takes."""
-    p.add_argument("--config", help="file of key = value lines")
-    for key, f in command_settings(command).items():
-        # an absent flag sets nothing, so a config file value stands
-        p.add_argument("--" + key.replace("_", "-"), dest=key, type=_flag_type(f.spec),
-                       default=argparse.SUPPRESS, help=f"{f.spec.label}; default {plain(f.default)}")
+def _add_command(sub, command: str, func, help: str) -> argparse.ArgumentParser:
+    """``command``'s parser, with its path flags from ``_PATHS`` and, if it
+    takes settings, ``--config`` and one ``--key-name`` flag per setting."""
+    p = sub.add_parser(command, help=help)
+    for dest, what, _, required in _PATHS[command]:
+        p.add_argument("--" + dest.replace("_", "-"), dest=dest, required=required, help=what)
+    if command in _UNUSED:
+        p.add_argument("--config", help="file of key = value lines")
+        for key, f in command_settings(command).items():
+            # an absent flag sets nothing, so a config file value stands
+            p.add_argument("--" + key.replace("_", "-"), dest=key, type=_flag_type(f.spec),
+                           default=argparse.SUPPRESS, help=f"{f.spec.label}; default {plain(f.default)}")
+    p.set_defaults(func=func)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -381,61 +394,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("tokenizer-train", help="learn a subword vocabulary from a corpus")
-    p.add_argument("--corpus", required=True)
+    p = _add_command(sub, "tokenizer-train", cmd_tokenizer_train, "learn a subword vocabulary from a corpus")
     p.add_argument("--vocab-size", dest="vocab_size", type=int, default=4000)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_tokenizer_train)
 
-    p = sub.add_parser("train", help="train one model")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--out", required=True, help="model checkpoint to write")
-    p.add_argument("--log", help="JSON-lines step log")
-    p.add_argument("--save-train-state", dest="save_train_state",
-                   help="resumable training checkpoint, written every epoch")
-    p.add_argument("--resume", help="continue from a training checkpoint")
+    p = _add_command(sub, "train", cmd_train, "train one model")
     p.add_argument("--dry-run", dest="dry_run", action="store_true",
                    help="validate settings and corpus, then stop")
-    _add_settings_flags(p, "train")
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="score a checkpoint against a corpus")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--report", help="write the full report as JSON")
+    p = _add_command(sub, "eval", cmd_eval, "score a checkpoint against a corpus")
     p.add_argument("--breakdown", default="genre,pos")
     threshold = next(f.spec for f in schema(ModelConfig) if f.name == "threshold")
     p.add_argument("--threshold", type=_flag_type(threshold), help=f"{threshold.label}; default: the checkpoint's")
     p.add_argument("--zero-shot", dest="zero_shot", action="store_true",
                    help="also report unknown-token exposure")
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("predict", help="score one sentence")
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--checkpoint", required=True)
+    p = _add_command(sub, "predict", cmd_predict, "score one sentence")
     p.add_argument("--sentence", required=True, help="space-separated tokens")
     p.add_argument("--target-index", dest="target_index", type=int, required=True)
     p.add_argument("--pos-tag", dest="pos_tag", default="VERB")
-    p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("ablate", help="train and evaluate all five variants")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--eval-corpus", dest="eval_corpus", required=True)
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--out-dir", dest="out_dir", required=True)
-    _add_settings_flags(p, "ablate")
-    p.set_defaults(func=cmd_ablate)
-
-    p = sub.add_parser("cv", help="bagged k-fold cross-validation ensemble")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--eval-corpus", dest="eval_corpus", required=True)
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--report", help="write the ensemble report as JSON")
-    _add_settings_flags(p, "cv")
-    p.set_defaults(func=cmd_cv)
-
+    _add_command(sub, "ablate", cmd_ablate, "train and evaluate all five variants")
+    _add_command(sub, "cv", cmd_cv, "bagged k-fold cross-validation ensemble")
     return parser
 
 
@@ -446,7 +425,12 @@ def main(argv=None) -> int:
         # argparse's own message would not name the subcommand
         parser.error(f"unrecognized arguments for {args.command}: {' '.join(extra)}")
     try:
-        return args.func(args)
+        # settings before paths, and both before any command reads a file
+        settings = resolve_settings(args) if args.command in _UNUSED else {}
+        if "variant" in settings:
+            refuse_inert(settings)
+        check_paths(args)
+        return args.func(args, settings)
     except (UsageError, ConfigError) as e:
         # bad settings are operator mistakes, same class as bad flags
         print(f"usage error: {e}", file=sys.stderr)
