@@ -9,6 +9,7 @@ sentences, which is how the standard corpus statistics tables count.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Mapping
 
@@ -40,7 +41,7 @@ class Instance:
                 f"{self.sentence_id}: target_index {self.target_index} outside "
                 f"[0, {len(self.tokens)})"
             )
-        if not np.isfinite(self.label):
+        if not math.isfinite(self.label):
             raise ContractError(f"{self.sentence_id}: label {self.label} is not finite")
 
     @property
@@ -189,6 +190,13 @@ def kfold_split(instances, k: int, seed: int) -> list[tuple[list[Instance], list
 # the target's field against the context words' field therefore
 # classifies the corpus perfectly, which pins down the ceiling for any
 # learned model.
+#
+# After the label shuffle, every choice comes from one ``Rng.index_stream``
+# in a fixed order per sentence: template, target field, the mismatch count
+# (regression only), mismatch field, target word, then each context slot in
+# template order. The stream returns what scalar ``integers(0, n)`` draws
+# would, so each corpus is the one those draws made; adding or moving a draw
+# changes every corpus after it, and tests/test_data.py pins them.
 
 GENRES = ("news", "fiction", "academic", "conversation")
 
@@ -233,6 +241,17 @@ class SyntheticSpec:
             raise ConfigError(f"balance must lie in [0, 1], got {self.balance}")
         if len(self.fields) < 2:
             raise ConfigError("need at least two semantic fields")
+        if not self.genres:
+            raise ConfigError("genres must name at least one genre")
+        # the target slot takes nouns or verbs, the context slots take nouns
+        checked = [("fields", self.fields)]
+        if self.target_words is not None:
+            checked.append(("target_words", self.target_words))
+        for what, pools_by_field in checked:
+            for fname in self.fields:
+                for kind in ("nouns", "verbs"):
+                    if not pools_by_field.get(fname, {}).get(kind):
+                        raise ConfigError(f"{what}[{fname!r}] has no {kind}")
         all_words: set[str] = set()
         for spec in self.fields.values():
             for pool in spec.values():
@@ -268,38 +287,38 @@ def make_synthetic_corpus(
     else:
         n_pos = round(n_sentences * spec.balance)
         flat = np.array([1] * n_pos + [0] * (n_sentences - n_pos))
-        labels = flat[rng.permutation(n_sentences)]
+        labels = flat[rng.permutation(n_sentences)].tolist()
+    draw = rng.index_stream()  # every later choice goes through it
+
+    # template -> (tokens, pos tag, target-word kind, target index, context slot indices)
+    shapes = [
+        (template, pos_tag, "nouns" if pos_tag == "NOUN" else "verbs", template.index("T"),
+         [k for k, t in enumerate(template) if t in ("C0", "C1")])
+        for template, pos_tag in TEMPLATES
+    ]
+    others = {f: [g for g in field_names if g != f] for f in field_names}
+    nouns = {f: spec.fields[f]["nouns"] for f in field_names}
+    targets = {(f, kind): spec.targets_for(f, kind) for f in field_names for kind in ("nouns", "verbs")}
 
     out: list[Instance] = []
     for i in range(n_sentences):
-        template, pos_tag = TEMPLATES[int(rng.integers(0, len(TEMPLATES)))]
-        target_field = rng.choice(field_names)
-        others = [f for f in field_names if f != target_field]
-        slots = [t for t in template if t in ("C0", "C1")]
+        template, pos_tag, kind, target_index, slots = shapes[draw(len(shapes))]
+        target_field = field_names[draw(len(field_names))]
         if regression:
-            n_mismatch = int(rng.integers(0, len(slots) + 1))
+            n_mismatch = draw(len(slots) + 1)
             label = n_mismatch / len(slots)
         else:
             label = float(labels[i])
             n_mismatch = len(slots) if label == 1.0 else 0
-        mismatch_field = rng.choice(others)
-        kind = "nouns" if pos_tag == "NOUN" else "verbs"
-        target_word = rng.choice(spec.targets_for(target_field, kind))
-
+        foreign = others[target_field]
+        mismatch_field = foreign[draw(len(foreign))]
+        pool = targets[target_field, kind]
+        tokens = list(template)
+        tokens[target_index] = pool[draw(len(pool))]
         # first n_mismatch context slots use the foreign field
-        slot_fields = [mismatch_field] * n_mismatch + [target_field] * (len(slots) - n_mismatch)
-        tokens: list[str] = []
-        target_index = -1
-        slot_i = 0
-        for tok in template:
-            if tok == "T":
-                target_index = len(tokens)
-                tokens.append(target_word)
-            elif tok in ("C0", "C1"):
-                tokens.append(rng.choice(spec.fields[slot_fields[slot_i]]["nouns"]))
-                slot_i += 1
-            else:
-                tokens.append(tok)
+        for j, k in enumerate(slots):
+            pool = nouns[mismatch_field if j < n_mismatch else target_field]
+            tokens[k] = pool[draw(len(pool))]
         out.append(
             Instance(
                 sentence_id=f"syn{i:05d}",

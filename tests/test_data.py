@@ -1,9 +1,12 @@
 """Corpus loading, summaries, synthesis, and k-fold splitting."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from melbert.data import (
+    DEFAULT_FIELDS,
     HEADER,
     Instance,
     SyntheticSpec,
@@ -186,6 +189,97 @@ class TestSyntheticCorpus:
         # held-out targets still occur inside training sentences as context
         train_words = {t for i in train for t in i.tokens}
         assert test_targets & train_words
+
+
+class TestSpecRefusals:
+    """A spec that generation could not finish is refused when it is made,
+    with a ConfigError naming the field and the kind of pool."""
+
+    FIELDS = {
+        "a": {"nouns": ("x", "y"), "verbs": ("v", "u")},
+        "b": {"nouns": ("z", "w"), "verbs": ("t", "s")},
+    }
+
+    def test_empty_noun_pool(self):
+        with pytest.raises(ConfigError, match=r"fields\['b'\] has no nouns"):
+            SyntheticSpec(fields={**self.FIELDS, "b": {"nouns": (), "verbs": ("t",)}})
+
+    def test_field_without_verbs(self):
+        with pytest.raises(ConfigError, match=r"fields\['a'\] has no verbs"):
+            SyntheticSpec(fields={**self.FIELDS, "a": {"nouns": ("x", "y")}})
+
+    def test_no_genres(self):
+        with pytest.raises(ConfigError, match="genre"):
+            SyntheticSpec(genres=())
+
+    def test_empty_target_pool(self):
+        targets = {"a": {"nouns": ("x",), "verbs": ()}, "b": {"nouns": ("z",), "verbs": ("t",)}}
+        with pytest.raises(ConfigError, match=r"target_words\['a'\] has no verbs"):
+            SyntheticSpec(fields=self.FIELDS, target_words=targets)
+
+    def test_target_pools_missing_a_field(self):
+        with pytest.raises(ConfigError, match=r"target_words\['b'\] has no nouns"):
+            SyntheticSpec(fields=self.FIELDS, target_words={"a": self.FIELDS["a"]})
+
+    def test_transfer_pair_over_one_word_pool(self):
+        spec = SyntheticSpec(fields={**self.FIELDS, "a": {"nouns": ("x",), "verbs": ("v", "u")}})
+        with pytest.raises(ConfigError, match=r"target_words\['a'\] has no nouns"):
+            make_transfer_pair(1, 20, 10, spec)
+
+
+def corpus_sha256(instances) -> str:
+    """SHA-256 over every row's fields, in row order."""
+    h = hashlib.sha256()
+    for i in instances:
+        row = (i.sentence_id, i.tokens, i.target_index, i.label, i.pos_tag, i.genre)
+        h.update(repr(row).encode("utf-8") + b"\n")
+    return h.hexdigest()
+
+
+def _words(prefix: str, n: int) -> tuple[str, ...]:
+    return tuple(f"{prefix}{k}" for k in range(n))
+
+
+# a draw among the one other field is a draw from a single choice
+TWO_FIELDS = SyntheticSpec(fields={
+    "land": {"nouns": ("hill", "road", "meadow"), "verbs": ("walk", "climb")},
+    "sky": {"nouns": ("cloud", "star", "moon", "comet"), "verbs": ("fly", "soar", "glide")},
+})
+ONE_WORD_TARGETS = SyntheticSpec(target_words={
+    fname: {"nouns": pools["nouns"][:1], "verbs": pools["verbs"][:1]} for fname, pools in DEFAULT_FIELDS.items()
+})
+WIDE_POOLS = SyntheticSpec(fields={
+    fname: {"nouns": _words(f"{fname}n", 100), "verbs": _words(f"{fname}v", 50)}
+    for fname in ("alpha", "beta", "gamma")
+})
+
+
+class TestPinnedCorpora:
+    """Every generated corpus is pinned row for row: a change to how the
+    generator draws must leave each one byte for byte as it was."""
+
+    CASES = {
+        "default": lambda: make_synthetic_corpus(1, 500),
+        "regression": lambda: make_synthetic_corpus(2, 500, regression=True),
+        "two-fields": lambda: make_synthetic_corpus(3, 300, TWO_FIELDS),
+        "two-fields-regression": lambda: make_synthetic_corpus(3, 300, TWO_FIELDS, regression=True),
+        "one-word-targets": lambda: make_synthetic_corpus(4, 300, ONE_WORD_TARGETS),
+        "wide-pools": lambda: make_synthetic_corpus(5, 500, WIDE_POOLS),
+        "transfer-pair-51": lambda: [i for half in make_transfer_pair(51, 600, 200) for i in half],
+    }
+    SHA256 = {
+        "default": "19504d949fbe9b17d358f134ccce6e8f07c5f7fbfa7abc663dc2ed9da533bc38",
+        "one-word-targets": "595617d0c98975e494c0415d4332332e1742da0df35ab222cf504260ba42218d",
+        "regression": "450bb9193f2d356e3b509c6810d6400183763e6575711674343aeb7994076d93",
+        "transfer-pair-51": "f551ee4f3421cb2d5d286fa805fd33c7bcf2c579317ae6b9cedec06fd08f01f1",
+        "two-fields": "55114fb5a8c956bc5d91c78c2abccc414238b474caaaac2de39fff424c6d1e8e",
+        "two-fields-regression": "78038f9e9a174540f853bc9f2e211924f957073fd11b1ab6692d9a12a18a0193",
+        "wide-pools": "deed39ee4a940e61e539ded9297f6b6eebc7682a0005ac5212786c8af898ba2a",
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_corpus_digest(self, case):
+        assert corpus_sha256(self.CASES[case]()) == self.SHA256[case]
 
 
 class TestKFold:
