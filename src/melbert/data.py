@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -249,9 +249,18 @@ class SyntheticSpec:
             checked.append(("target_words", self.target_words))
         for what, pools_by_field in checked:
             for fname in self.fields:
+                pools = pools_by_field.get(fname, {})
+                if not isinstance(pools, Mapping):
+                    raise ConfigError(f"{what}[{fname!r}] must map nouns and verbs to words, got {pools!r}")
                 for kind in ("nouns", "verbs"):
-                    if not pools_by_field.get(fname, {}).get(kind):
+                    if not pools.get(kind):
                         raise ConfigError(f"{what}[{fname!r}] has no {kind}")
+                for kind, pool in pools.items():
+                    if isinstance(pool, str) or not isinstance(pool, Sequence):
+                        raise ConfigError(f"{what}[{fname!r}] {kind} must be a sequence of words, got {pool!r}")
+                    for w in pool:
+                        if not isinstance(w, str) or not w:
+                            raise ConfigError(f"{what}[{fname!r}] {kind} holds {w!r}, which is not a word")
         all_words: set[str] = set()
         for spec in self.fields.values():
             for pool in spec.values():
@@ -280,6 +289,8 @@ def make_synthetic_corpus(
     if n_sentences < 1:
         raise ContractError("n_sentences must be positive")
     spec = spec or SyntheticSpec()
+    if regression and spec.balance != SyntheticSpec.balance:
+        raise ConfigError(f"balance is not used under regression, which draws each label, got {spec.balance}")
     rng = Rng(seed, "synth")
     field_names = sorted(spec.fields)
     if regression:

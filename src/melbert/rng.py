@@ -1,13 +1,12 @@
 """Deterministic random source.
 
 One seed drives every random decision in the package: parameter init,
-dropout masks, data shuffling, corpus synthesis. The generator is a
-counter-based Philox stream, so its full state is a handful of integers
-that can be written into a checkpoint and restored bit-exactly.
-
-Independent substreams are derived by hashing a string name together
-with the seed, so e.g. the init stream and the shuffle stream never
-interfere no matter how much either one is consumed.
+dropout masks, data shuffling, corpus synthesis. Each stream is a
+counter-based Philox generator whose key hashes the seed together with a
+string name, so a stream is fixed by its name alone, and streams of
+different names never interfere however much either one is consumed.
+Training names one stream per epoch and one per step, so a resumed run
+re-derives them instead of restoring a saved position.
 
 A long run of bounded index draws (corpus synthesis makes about six per
 sentence) goes through ``Rng.index_stream``. A scalar ``integers(0, n)``
@@ -42,28 +41,8 @@ def _derive_key(seed: int, stream: str) -> np.ndarray:
     return np.frombuffer(digest[:16], dtype=np.uint64).copy()
 
 
-def _jsonify(obj):
-    if isinstance(obj, np.ndarray):
-        return {"__ndarray__": obj.tolist(), "dtype": str(obj.dtype)}
-    if isinstance(obj, dict):
-        return {k: _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    return obj
-
-
-def _unjsonify(obj):
-    if isinstance(obj, dict):
-        if "__ndarray__" in obj:
-            return np.array(obj["__ndarray__"], dtype=obj["dtype"])
-        return {k: _unjsonify(v) for k, v in obj.items()}
-    return obj
-
-
 class Rng:
-    """Seedable, serializable random generator with named substreams."""
+    """Seedable random generator with named substreams, each fixed by its name."""
 
     def __init__(self, seed: int, stream: str = "root"):
         self.seed = int(seed)
@@ -114,8 +93,7 @@ class Rng:
         return, for any int ``n`` in [1, 2**32]; ``n == 1`` takes no word.
 
         The stream takes words ahead of its draws, so it takes over this
-        ``Rng``: nothing else may draw from it afterwards, and its state
-        no longer says where the draws stand.
+        ``Rng``: nothing else may draw from it afterwards.
         """
         gen = self._gen
         blocks = iter(lambda: gen.integers(0, 2**32, size=INDEX_BLOCK, dtype=np.uint64).tolist(), None)
@@ -134,19 +112,3 @@ class Rng:
             return m >> 32
 
         return draw
-
-    # -- state ---------------------------------------------------------
-
-    def state(self) -> dict:
-        """JSON-safe snapshot of the full generator state."""
-        return {
-            "seed": self.seed,
-            "stream": self.stream,
-            "bitgen": _jsonify(self._gen.bit_generator.state),
-        }
-
-    def set_state(self, snap: dict) -> None:
-        self.seed = int(snap["seed"])
-        self.stream = snap["stream"]
-        self._gen = np.random.Generator(np.random.Philox(key=_derive_key(self.seed, self.stream)))
-        self._gen.bit_generator.state = _unjsonify(snap["bitgen"])

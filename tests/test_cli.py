@@ -18,6 +18,8 @@ from melbert.errors import ConfigError
 from melbert.model import Variant
 from melbert.settings import plain
 
+from test_training import rewrite
+
 
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
@@ -223,40 +225,24 @@ class TestTrain:
         assert run(workdir, *args, "--log", log, "--resume", tmp_path / "state.ckpt") == 1
         assert capsys.readouterr().err == f"error: {log}: line 3 is not a step record\n"
 
-    def test_resume_with_bad_rng_state_is_one_error_line(self, workdir, tmp_path, capsys):
+    def test_checkpoint_with_a_stream_position_predicts_but_does_not_resume(self, workdir, tmp_path, capsys):
+        # a training checkpoint written when every draw came from one sequential stream
         args = ("train", "--corpus", workdir / "train.tsv", "--vocab", workdir / "vocab.txt",
                 "--config", workdir / "tiny.cfg", "--out", tmp_path / "out.ckpt")
         assert run(workdir, *args, "--save-train-state", tmp_path / "state.ckpt") == 0
-        with open_checkpoint(tmp_path / "state.ckpt") as (meta, blocks):
-            meta["rng_state"] = {}
-            save_checkpoint(tmp_path / "bad.ckpt", meta, blocks)
-        capsys.readouterr()
-        assert run(workdir, *args, "--resume", tmp_path / "bad.ckpt") == 1
-        assert capsys.readouterr().err == "error: checkpoint metadata: 'rng_state' has no key 'seed'\n"
-
-    def test_resume_with_out_of_range_philox_state_is_one_error_line(self, workdir, tmp_path, capsys):
-        args = ("train", "--corpus", workdir / "train.tsv", "--vocab", workdir / "vocab.txt",
-                "--config", workdir / "tiny.cfg", "--out", tmp_path / "out.ckpt")
-        assert run(workdir, *args, "--save-train-state", tmp_path / "state.ckpt") == 0
-        with open_checkpoint(tmp_path / "state.ckpt") as (meta, blocks):
-            meta["rng_state"]["bitgen"]["buffer_pos"] = -3
-            save_checkpoint(tmp_path / "bad.ckpt", meta, blocks)
-        capsys.readouterr()
-        assert run(workdir, *args, "--resume", tmp_path / "bad.ckpt") == 1
-        assert capsys.readouterr().err == ("error: checkpoint metadata: 'rng_state.bitgen.buffer_pos' "
-                                           "must be an int in 0-4, got -3\n")
-
-    def test_resume_with_a_foreign_rng_key_is_one_error_line(self, workdir, tmp_path, capsys):
-        args = ("train", "--corpus", workdir / "train.tsv", "--vocab", workdir / "vocab.txt",
-                "--config", workdir / "tiny.cfg", "--out", tmp_path / "out.ckpt")
-        assert run(workdir, *args, "--save-train-state", tmp_path / "state.ckpt") == 0
-        with open_checkpoint(tmp_path / "state.ckpt") as (meta, blocks):
-            meta["rng_state"]["bitgen"]["state"]["key"]["__ndarray__"] = [1, 2]
-            save_checkpoint(tmp_path / "bad.ckpt", meta, blocks)
-        capsys.readouterr()
-        assert run(workdir, *args, "--resume", tmp_path / "bad.ckpt") == 1
-        assert capsys.readouterr().err == ("error: checkpoint metadata: 'rng_state.bitgen.state.key' must be "
-                                           "the key of rng_state.seed and rng_state.stream, got [1, 2]\n")
+        old = rewrite(tmp_path / "state.ckpt", tmp_path / "old.ckpt",
+                      edit_meta=lambda m: m.update(rng_state={"seed": 0, "stream": "train", "bitgen": {}}))
+        scores = []
+        for path in (tmp_path / "state.ckpt", old):
+            capsys.readouterr()
+            assert run(workdir, "predict", "--vocab", workdir / "vocab.txt", "--checkpoint", path,
+                       "--sentence", "the river devours the shore", "--target-index", "2") == 0
+            scores.append(json.loads(capsys.readouterr().out)["score"])
+        assert scores[0] == scores[1]
+        assert run(workdir, *args, "--resume", old) == 1
+        assert capsys.readouterr().err == ("error: checkpoint metadata: 'rng_state' is the stream position of a "
+                                           "run from before keyed draws: its model can be evaluated, but the run "
+                                           "cannot resume\n")
 
 
 class TestEval:

@@ -181,6 +181,10 @@ class TestSyntheticCorpus:
         assert values <= {0.0, 0.5, 1.0}
         assert len(values) == 3
 
+    def test_regression_refuses_a_balance_it_would_ignore(self):
+        with pytest.raises(ConfigError, match="balance is not used under regression"):
+            make_synthetic_corpus(13, 200, SyntheticSpec(balance=0.0), regression=True)
+
     def test_transfer_pair_targets_disjoint(self):
         train, test = make_transfer_pair(21, 200, 80)
         train_targets = {i.target_word for i in train}
@@ -220,6 +224,16 @@ class TestSpecRefusals:
     def test_target_pools_missing_a_field(self):
         with pytest.raises(ConfigError, match=r"target_words\['b'\] has no nouns"):
             SyntheticSpec(fields=self.FIELDS, target_words={"a": self.FIELDS["a"]})
+
+    @pytest.mark.parametrize("edit, expected", [
+        ({"a": ("x", "v")}, r"fields\['a'\] must map nouns and verbs to words, got \('x', 'v'\)"),
+        ({"a": {"nouns": "kit", "verbs": ("v",)}}, r"fields\['a'\] nouns must be a sequence of words, got 'kit'"),
+        ({"b": {"nouns": ("z",), "verbs": ("t", 7)}}, r"fields\['b'\] verbs holds 7, which is not a word"),
+        ({"b": {"nouns": ("z", ""), "verbs": ("t",)}}, r"fields\['b'\] nouns holds '', which is not a word"),
+    ], ids=["tuple-field", "string-pool", "number-word", "empty-word"])
+    def test_malformed_field(self, edit, expected):
+        with pytest.raises(ConfigError, match=expected):
+            SyntheticSpec(fields={**self.FIELDS, **edit})
 
     def test_transfer_pair_over_one_word_pool(self):
         spec = SyntheticSpec(fields={**self.FIELDS, "a": {"nouns": ("x",), "verbs": ("v", "u")}})

@@ -34,22 +34,22 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # run -> (SHA-256 of the step log's bytes, SHA-256 of the parameters as
 # little-endian float64 bytes in parameters() order)
 PINS = {
-    "base_all2all": ("7cbb361f2b7936611283cd18a328c7f59800f3b94d14cb4366b33ba15df4fb85",
-                    "3d6d88cef4a863a6e01f8872e6261073cf95c1a2df97411ef0adfc06dcde4761"),
-    "melbert": ("3c43a67fd74b82c659005bffd1e32a9e1b09b44146381de9d368806a59cb2c39",
-               "a01625d1d018278b248693fd1bdf0ef5f1c02389ad1a4455fc19518ce08548b5"),
-    "melbert epoch 1": ("4128f650f6ff0c2845d7bfff6dd89b2cea13b3e0c0d562fadccce46a41500d1d",
-                       "852bb270eaa667d26c19702aa34df935cb531639dab0ed951187bf242be66c5f"),
-    "melbert mse": ("6710b506cdf152f091d85a2de187b2d561b5a65c637e27f3a327111aab14e444",
-                   "ce07154563481265fdefaae9621c081e6c8785d0433ba0627202fa642448b985"),
-    "melbert resumed": ("9553f88dd7f8342a8052804e2ef7ad1e6b2bac4eebc775fb51c6beee9cd0e752",
-                       "a01625d1d018278b248693fd1bdf0ef5f1c02389ad1a4455fc19518ce08548b5"),
-    "no_mip": ("c98abe1612e5abcb5e5dd267ef7e3b0672d01458d7db4e125a5a9629549e50b2",
-              "7276bd1c8123bfd4f8d10bdaa14d9f9792c72f584c61889321b12acbaa4d5d83"),
-    "no_spv": ("42dd062b8199ebb1ec5c232f002d36ed896907aa53bc68115f3142a12e995bed",
-              "210ad43fd0e943467aa75250b46208314b385c4c9e72406005913c4d7c637815"),
-    "seq": ("0596cdd5c6386a96512732d591c94dd70ac2a294ffa47cbf8b4d21f9bbfead13",
-           "5a43108ec5075b3d44ced5740f20e21b05658e36688ecb08d4c028be89cc7992"),
+    "base_all2all": ("253ac1db727736ae439e238ec3afc8527f434d08c1717cab5edeb6a55a34e4bb",
+                     "6d85c24cc4e03671ad48df38f817e547e6bd74bdef3d1639ab6eca72762e9469"),
+    "melbert": ("93067467e4a5c7ba03c20573ed946399e9b8414cfc5c4ac37e70abb004a30a5b",
+                "a507eaf7fb75910b9db0dbb4f4cb14eeefa40d377973ef56f5eb6d2b5ab99c67"),
+    "melbert epoch 1": ("ac32e55633811d5a4e9f02a3cbb74f646ce0d8b20b6472f979bd660442a91b69",
+                        "557fece63afb448b15b905113f1d1f7e00660c842ea4252c01067a70fd808236"),
+    "melbert mse": ("e07612dcc636f4dd55f8c9a472dedaedcce45f25dce5e4c349484053bf62272d",
+                    "240f6de74b72818eb22e9d35016944675c7557a41a47489eaa33735f8e467cd5"),
+    "melbert resumed": ("6c13e74c82f140ecd3c69c8913700b628131468a0c4381e86b69892f8e84ffaa",
+                        "a507eaf7fb75910b9db0dbb4f4cb14eeefa40d377973ef56f5eb6d2b5ab99c67"),
+    "no_mip": ("912e08635f5d894dfbd332add6d7b467e1877a48fd949d4f9249b10925805ac0",
+               "dece0f621c43441e9ca6a3ae6ffc8839ae8b5ef4f949a90db0c2d33d28dedc32"),
+    "no_spv": ("faa82a688f215e1dfe4f1ea42a0611416f08f703b7dd0143fa4f3039ec88a34e",
+               "f40fb5f16131cd0ef98951e346413bc41e60c30922c148d9b6387c3851f9d6c1"),
+    "seq": ("ed0f9ecec2e1b51edb7d02fa0acf7300769cf86dab9435a935eb2398868f967a",
+            "b15e9621ca42f25f0994964a91a2a6251392733e3b56366797bdf4ab5d4a9c7e"),
 }
 
 
@@ -60,7 +60,7 @@ def run_digests() -> dict:
     encoder = EncoderConfig(vocab_size=len(vocab), num_layers=1, num_heads=2, hidden_dim=16, ffn_dim=32,
                             dropout=0.1)
     bce = TrainConfig(epochs=2, batch_size=8, peak_lr=1e-3, pos_weight=2.0, grad_clip=0.2)
-    mse = TrainConfig(epochs=2, batch_size=8, peak_lr=1e-3, grad_clip=0.1, objective="mse")
+    mse = TrainConfig(epochs=2, batch_size=8, peak_lr=1e-3, grad_clip=0.05, objective="mse")
     runs, clipped = {}, {}
     clip = training.clip_gradients
 
