@@ -16,8 +16,10 @@ Besides the primitive ops, ``self_attention`` and ``feed_forward`` each
 run a whole transformer sublayer as one record with a hand-written
 backward. They share their numpy formulas with ``softmax``, ``gelu`` and
 ``dropout``. Each dropout draws its masks from the ``rng`` it is given,
-so a training pass is the one given a dropout stream; without one,
-dropout is the identity.
+as keep flags (``Rng.keep``), so a training pass is the one given a
+dropout stream; without one, dropout is the identity. ``feed_forward``
+runs long inputs in balanced row chunks that stay in cache, and gives
+the bits of its one-shot formula.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import numpy as np
 from .errors import ConfigError, ContractError, DimensionError, VocabError
 
 _TAPE_STACK: list["Tape"] = []
+FFN_CHUNK_ROWS = 256  # feed_forward's row-chunk target: [256, 256] float64 is 512 KiB, well inside L2
 
 
 class Tape:
@@ -463,15 +466,16 @@ def gelu(a) -> Tensor:
     return _make(out, (a,), bw)
 
 
-def _gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """GELU(x) = 0.5 x (1 + t) and its tanh term t = tanh(c (x + 0.044715 x^3))."""
+def _gelu(x: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """GELU(x) = 0.5 x (1 + t), written into ``out`` if given, and its tanh
+    term t = tanh(c (x + 0.044715 x^3))."""
     t = x * x  # products, not x**3: numpy sends integer powers above 2 through pow
     t *= 0.044715
     t *= x
     t += x
     t *= _GELU_C
     np.tanh(t, out=t)
-    out = 1.0 + t
+    out = np.add(1.0, t, out=out)
     out *= x
     out *= 0.5
     return out, t
@@ -532,7 +536,7 @@ def _drops(p: float, rng) -> bool:
 
 def _dropout_mask(shape, p: float, rng) -> np.ndarray:
     """Inverted-dropout multipliers: 0 with probability p, else 1/(1-p)."""
-    return (rng.uniform(shape) >= p) / (1.0 - p)
+    return rng.keep(shape, p) * (1.0 / (1.0 - p))
 
 
 # ---------------------------------------------------------------------------
@@ -622,18 +626,57 @@ def self_attention(x, weights, lengths, num_heads: int, p: float = 0.0, rng=None
     return _make(out, (x, *weights), bw)
 
 
+def _row_chunks(n: int) -> list[slice]:
+    """ceil(n / FFN_CHUNK_ROWS) consecutive row slices covering n rows,
+    sized as ``np.array_split`` sizes them: the first n % k one row longer."""
+    k = -(-n // FFN_CHUNK_ROWS)
+    q, r = divmod(n, k)
+    edges = [i * q + min(i, r) for i in range(k + 1)]
+    return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
+
+
+def _ffn_forward(x, w1, b1, w2, a=None, out=None):
+    """Pre-activation h, tanh term t, activation a and ``a @ w2`` of some
+    rows; a and the product are written into ``a`` and ``out`` if given."""
+    h = x @ w1
+    h += b1
+    a, t = _gelu(h, out=a)
+    return h, t, a, np.matmul(a, w2, out=out)
+
+
+def _ffn_backward(g, h, t, w1, w2, da=None, dx=None):
+    """Gradients at the pre-activation and at the input of some rows, given
+    the output gradient g; written into ``da`` and ``dx`` if given."""
+    da = np.matmul(g, w2.T, out=da)
+    da *= _gelu_grad(h, t)
+    return da, np.matmul(da, w1.T, out=dx)
+
+
 def feed_forward(x, w1, b1, w2, b2, p: float = 0.0, rng=None) -> Tensor:
     """Position-wise feed-forward sublayer: linear, GELU, linear, then dropout.
 
     ``x`` is [N, d], ``w1`` [d, f] and ``w2`` [f, d]. Given an ``rng``,
-    dropout at rate p applies to the output.
+    dropout at rate p applies to the output, its mask drawn whole.
+
+    Above FFN_CHUNK_ROWS rows the rows run in ``_row_chunks(N)``, so a
+    chunk's [rows, f] intermediates stay in cache from one linear through
+    GELU to the next; the weight and bias gradients stay products over all
+    N rows. Each chunk has at least FFN_CHUNK_ROWS / 2 rows, where a BLAS
+    product's rows were measured not to depend on how many rows share it,
+    so the op gives the bits of the one-shot formula, which runs as it is
+    up to FFN_CHUNK_ROWS rows (a prediction at the default max_len of 150).
     """
     x, w1, b1, w2, b2 = (as_tensor(t) for t in (x, w1, b1, w2, b2))
     drop = _drops(p, rng)
-    h = x.data @ w1.data
-    h += b1.data
-    a, t = _gelu(h)
-    out = a @ w2.data
+    n, f = x.data.shape[0], w1.data.shape[1]
+    chunks = _row_chunks(n) if n > FFN_CHUNK_ROWS else None
+    if chunks is None:
+        h, t, a, out = _ffn_forward(x.data, w1.data, b1.data, w2.data)
+        tanh_terms = [(h, t)]
+    else:
+        a, out = np.empty((n, f)), np.empty((n, w2.data.shape[1]))
+        tanh_terms = [_ffn_forward(x.data[rows], w1.data, b1.data, w2.data, a[rows], out[rows])[:2]
+                      for rows in chunks]
     out += b2.data
     mask = _dropout_mask(out.shape, p, rng) if drop else None
     if mask is not None:
@@ -642,8 +685,12 @@ def feed_forward(x, w1, b1, w2, b2, p: float = 0.0, rng=None) -> Tensor:
     def bw(g):
         if mask is not None:
             g = g * mask
-        da = g @ w2.data.T
-        da *= _gelu_grad(h, t)
-        return da @ w1.data.T, x.data.T @ da, da.sum(axis=0), a.T @ g, g.sum(axis=0)
+        if chunks is None:
+            da, dx = _ffn_backward(g, *tanh_terms[0], w1.data, w2.data)
+        else:
+            da, dx = np.empty((n, f)), np.empty(x.data.shape)
+            for rows, (h, t) in zip(chunks, tanh_terms):
+                _ffn_backward(g[rows], h, t, w1.data, w2.data, da[rows], dx[rows])
+        return dx, x.data.T @ da, da.sum(axis=0), a.T @ g, g.sum(axis=0)
 
     return _make(out, (x, w1, b1, w2, b2), bw)

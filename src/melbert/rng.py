@@ -8,6 +8,14 @@ different names never interfere however much either one is consumed.
 Training names one stream per epoch and one per step, so a resumed run
 re-derives them instead of restoring a saved position.
 
+Dropout masks come from ``Rng.keep``, which cuts flags straight from the
+raw 64-bit Philox outputs: two 32-bit lanes per output, low half first,
+each compared with ``round(p * 2**32)`` (Salmon et al., "Parallel Random
+Numbers: As Easy as 1, 2, 3", SC 2011). That skips numpy's conversion of
+each output to a float64 uniform and halves the outputs a mask takes.
+The halves are cut with shifts, not by viewing the outputs as 32-bit
+words, so the flags do not depend on the host's byte order.
+
 A long run of bounded index draws (corpus synthesis makes about six per
 sentence) goes through ``Rng.index_stream``. A scalar ``integers(0, n)``
 costs about a microsecond of numpy call overhead; the stream instead
@@ -57,6 +65,22 @@ class Rng:
 
     def uniform(self, shape=None) -> np.ndarray:
         return self._gen.random(size=shape)
+
+    def keep(self, shape, p: float) -> np.ndarray:
+        """Boolean flags of ``shape``, each False with probability ``p`` in [0, 1].
+
+        Each raw 64-bit Philox output gives two 32-bit lanes, its low half
+        then its high half, for consecutive flags in C order; a flag is
+        kept when its lane is at least ``round(p * 2**32)``.
+        """
+        if not 0.0 <= p <= 1.0:
+            raise ContractError(f"drop probability {p} outside [0, 1]")
+        n = int(np.prod(shape))
+        raw = self._gen.bit_generator.random_raw((n + 1) // 2)
+        cut = np.uint64(round(p * 2**32))  # compared in uint64, so a cut of 2**32 drops every lane
+        low = raw & np.uint64(0xFFFFFFFF)
+        raw >>= np.uint64(32)
+        return np.stack([low >= cut, raw >= cut], axis=1).reshape(-1)[:n].reshape(shape)
 
     def normal(self, shape=None, std: float = 1.0) -> np.ndarray:
         return self._gen.standard_normal(size=shape) * std

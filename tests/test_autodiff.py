@@ -326,8 +326,21 @@ def attention_by_primitives(x, weights, lengths, heads):
     return ad.add(ad.matmul(ad.concat(outs, axis=0), wo), bo)
 
 
-def feed_forward_by_primitives(x, w1, b1, w2, b2):
-    return ad.add(ad.matmul(ad.gelu(ad.add(ad.matmul(x, w1), b1)), w2), b2)
+def feed_forward_by_primitives(x, w1, b1, w2, b2, p=0.0, rng=None):
+    return ad.dropout(ad.add(ad.matmul(ad.gelu(ad.add(ad.matmul(x, w1), b1)), w2), b2), p, rng)
+
+
+def feed_forward_one_shot(x, w1, b1, w2, b2, g):
+    """The feed-forward's output and its five gradients under output gradient
+    g, as single numpy products over all rows, with the op's GELU formulas."""
+    h = x @ w1
+    h += b1
+    a, t = ad._gelu(h)
+    out = a @ w2
+    out += b2
+    da = g @ w2.T
+    da *= ad._gelu_grad(h, t)
+    return [out, da @ w1.T, x.T @ da, da.sum(axis=0), a.T @ g, g.sum(axis=0)]
 
 
 class TestFusedSublayers:
@@ -377,6 +390,36 @@ class TestFusedSublayers:
     def test_feed_forward_matches_primitives(self):
         arrays = self.ffn_arrays(sum(self.LENGTHS))
         self.assert_same_values_and_grads(ad.feed_forward, feed_forward_by_primitives, arrays)
+
+    @pytest.mark.parametrize("dims", [(8, 12), (64, 256)])
+    @pytest.mark.parametrize("T", [1, 255, 256, 257, 259, 270, 274, 511, 513, 2584])
+    def test_feed_forward_chunks_bitwise_equal_one_shot(self, T, dims):
+        """Balanced row chunks give the bits of single whole-array products;
+        fixed 256-row chunks fail this where the last chunk is a few rows long."""
+        d, f = dims
+        x, g = self.rng.standard_normal((T, d)), self.rng.standard_normal((T, d))
+        weights = [self.rng.standard_normal((d, f)) * 0.1, self.rng.standard_normal(f) * 0.1,
+                   self.rng.standard_normal((f, d)) * 0.1, self.rng.standard_normal(d) * 0.1]
+        tensors = [Tensor(a, requires_grad=True) for a in [x] + weights]
+        with Tape():
+            out = ad.feed_forward(*tensors)
+            loss = ad.tsum(ad.mul(out, Tensor(g)))
+        ad.backward(loss)
+        got = [out.data] + [t.grad for t in tensors]
+        for got_array, want in zip(got, feed_forward_one_shot(x, *weights, g)):
+            assert got_array.tobytes() == want.tobytes()
+
+    def test_feed_forward_in_chunks_matches_primitives(self):
+        T = 300  # two chunks, of 150 rows each
+        arrays = self.ffn_arrays(T)
+        self.assert_same_values_and_grads(ad.feed_forward, feed_forward_by_primitives, arrays)
+        # the fused op draws its output mask whole, as the primitive dropout does
+        self.assert_same_values_and_grads(lambda *a: ad.feed_forward(*a, 0.3, Rng(7, "ffmask")),
+                                          lambda *a: feed_forward_by_primitives(*a, 0.3, Rng(7, "ffmask")),
+                                          arrays)
+        w = self.rng.standard_normal((T, self.D))
+        check_grads(lambda *a: ad.tsum(ad.mul(ad.feed_forward(*a, 0.3, Rng(7, "fdmask")), Tensor(w))),
+                    arrays, n_probes=100, rng=self.rng)
 
     def test_gradients_match_central_differences(self):
         # a fresh child stream with a fixed name replays the identical dropout masks

@@ -1,5 +1,7 @@
-"""The bulk index stream against numpy's scalar bounded draws."""
+"""The bulk index stream against numpy's scalar bounded draws, and dropout
+keep flags against the raw Philox outputs they are cut from."""
 
+import numpy as np
 import pytest
 
 from melbert.errors import ContractError
@@ -47,3 +49,58 @@ class TestIndexStream:
     def test_bound_outside_range(self, n):
         with pytest.raises(ContractError):
             Rng(7, "test").index_stream()(n)
+
+
+def lanes(seed: int, stream: str, n: int) -> list[int]:
+    """The reference: each raw Philox output split into its low then high 32 bits, in Python ints."""
+    raw = Rng(seed, stream)._gen.bit_generator.random_raw((n + 1) // 2).tolist()
+    return [half for word in raw for half in (word & 0xFFFFFFFF, word >> 32)][:n]
+
+
+class TestKeep:
+    """``keep(shape, p)``: one flag per 32-bit lane of the raw Philox outputs."""
+
+    @pytest.mark.parametrize("shape", [(7,), (4, 6), (3, 5, 3), (1,), (0,)])
+    @pytest.mark.parametrize("p", [0.0, 0.1, 0.5, 0.9])
+    def test_flags_are_lanes_low_then_high(self, shape, p):
+        n = int(np.prod(shape))
+        cut = round(p * 2**32)
+        want = np.array([lane >= cut for lane in lanes(8, "keep", n)], dtype=bool).reshape(shape)
+        got = Rng(8, "keep").keep(shape, p)
+        assert got.dtype == bool and got.shape == shape
+        assert np.array_equal(got, want)
+
+    def test_an_odd_count_leaves_no_half_output(self):
+        """The high lane of the last output of an odd count is discarded, so
+        the next draw starts at the next output."""
+        rng = Rng(9, "keep")
+        first, second = rng.keep((5,), 0.5), rng.keep((4,), 0.5)
+        cut = 2**31
+        want = [lane >= cut for lane in lanes(9, "keep", 10)]
+        assert first.tolist() + second.tolist() == want[:5] + want[6:10]
+
+    def test_same_stream_same_flags(self):
+        a, b = Rng(10, "train/step/3"), Rng(10, "train/step/3")
+        for shape in [(40, 64), (3, 2, 7, 7), (33,)]:
+            assert a.keep(shape, 0.2).tobytes() == b.keep(shape, 0.2).tobytes()
+        other = Rng(10, "train/step/4").keep((1000,), 0.5)
+        assert other.tobytes() != Rng(10, "train/step/3").keep((1000,), 0.5).tobytes()
+
+    @pytest.mark.parametrize("p", [0.1, 0.2, 0.5])
+    def test_keep_rate_within_five_sigma(self, p):
+        n = 200_000
+        kept = Rng(11, f"rate/{p}").keep((n,), p).mean()
+        assert abs(kept - (1.0 - p)) < 5 * np.sqrt(p * (1.0 - p) / n)
+
+    def test_rate_just_below_one_drops_everything(self):
+        """round(p * 2**32) is 2**32 here; compared in uint64 it drops every
+        lane instead of wrapping to a cut of 0 that would keep them all."""
+        p = np.nextafter(1.0, 0.0)
+        assert round(p * 2**32) == 2**32
+        assert not Rng(12, "keep").keep((10_000,), p).any()
+        assert Rng(12, "keep").keep((10_000,), 0.0).all()
+
+    @pytest.mark.parametrize("p", [-0.1, 1.5])
+    def test_rate_outside_unit_interval(self, p):
+        with pytest.raises(ContractError):
+            Rng(13, "keep").keep((3,), p)

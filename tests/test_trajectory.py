@@ -34,22 +34,22 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # run -> (SHA-256 of the step log's bytes, SHA-256 of the parameters as
 # little-endian float64 bytes in parameters() order)
 PINS = {
-    "base_all2all": ("253ac1db727736ae439e238ec3afc8527f434d08c1717cab5edeb6a55a34e4bb",
-                     "6d85c24cc4e03671ad48df38f817e547e6bd74bdef3d1639ab6eca72762e9469"),
-    "melbert": ("93067467e4a5c7ba03c20573ed946399e9b8414cfc5c4ac37e70abb004a30a5b",
-                "a507eaf7fb75910b9db0dbb4f4cb14eeefa40d377973ef56f5eb6d2b5ab99c67"),
-    "melbert epoch 1": ("ac32e55633811d5a4e9f02a3cbb74f646ce0d8b20b6472f979bd660442a91b69",
-                        "557fece63afb448b15b905113f1d1f7e00660c842ea4252c01067a70fd808236"),
-    "melbert mse": ("e07612dcc636f4dd55f8c9a472dedaedcce45f25dce5e4c349484053bf62272d",
-                    "240f6de74b72818eb22e9d35016944675c7557a41a47489eaa33735f8e467cd5"),
-    "melbert resumed": ("6c13e74c82f140ecd3c69c8913700b628131468a0c4381e86b69892f8e84ffaa",
-                        "a507eaf7fb75910b9db0dbb4f4cb14eeefa40d377973ef56f5eb6d2b5ab99c67"),
-    "no_mip": ("912e08635f5d894dfbd332add6d7b467e1877a48fd949d4f9249b10925805ac0",
-               "dece0f621c43441e9ca6a3ae6ffc8839ae8b5ef4f949a90db0c2d33d28dedc32"),
-    "no_spv": ("faa82a688f215e1dfe4f1ea42a0611416f08f703b7dd0143fa4f3039ec88a34e",
-               "f40fb5f16131cd0ef98951e346413bc41e60c30922c148d9b6387c3851f9d6c1"),
-    "seq": ("ed0f9ecec2e1b51edb7d02fa0acf7300769cf86dab9435a935eb2398868f967a",
-            "b15e9621ca42f25f0994964a91a2a6251392733e3b56366797bdf4ab5d4a9c7e"),
+    "base_all2all": ("fee9a47e96924611865eeeba10e2b8b3e33ca747654bb71ab0cb73abaa449bc9",
+                     "ea0d74862fb582693d4458e0f5e75b9f58455e4e620f7837c3e00e5e3e5f9e8e"),
+    "melbert": ("b5760ea858aab16e8a2981a251d09bbff6c74217bdc06171280fa5cf39bd9041",
+                "0fabcb042b22b4f4c091f324fd471423f73f84556dd706f8a07c8f330f4e6f80"),
+    "melbert epoch 1": ("f75d56d33652ffe837d0af25d1dcf0dc548cc4bfcba2591b46a88ef20a701cf9",
+                        "d2e89847f241730bb7b01acdbc968e4dfea275f1e7f8fbb521de97b27cf2c821"),
+    "melbert mse": ("cd207301e1b7e32854d9bb76e8d3f7dba2e618d54808c7dba7ee5337fa823d39",
+                    "2fbbc2f1e1496d1b43e8359d113703e3594714b7d8a2f02498b4cfda93c6211b"),
+    "melbert resumed": ("d1ac399c8b343b7aa8c4d18007b91b4bdefadd05848043335b08575dd44e2d7c",
+                        "0fabcb042b22b4f4c091f324fd471423f73f84556dd706f8a07c8f330f4e6f80"),
+    "no_mip": ("a94429b0d44819d535b7c2b57f32cd5a36b9f984aefcfa6551fa0e7f3a4944a2",
+               "2cbd210700158db9a59b21463cbb69dd77f21e2720a4c1576bb403368253c1df"),
+    "no_spv": ("9fc59f56c86938fd2865b4d3d6b9678c33053ea567dbc0f133bb0343e776d9b8",
+               "be69119572ad45a3d97fea972af9d6a0d3e82f7859cd4ff42850926e68e9eb2d"),
+    "seq": ("b4376b8c9bb922f4212f8653539d29ce714e7aa04e1829494da95bc15b5a89f9",
+            "401426ee4cea25d2d0e02ee02e08ec53d288cebe523c8e001d5bf92f84e81b9e"),
 }
 
 
