@@ -18,8 +18,8 @@ backward. They share their numpy formulas with ``softmax``, ``gelu`` and
 ``dropout``. Each dropout draws its masks from the ``rng`` it is given,
 as keep flags (``Rng.keep``), so a training pass is the one given a
 dropout stream; without one, dropout is the identity. ``feed_forward``
-runs long inputs in balanced row chunks that stay in cache, and gives
-the bits of its one-shot formula.
+runs long inputs in balanced row chunks that stay in cache; on the BLAS
+build its docstring names, they gave the bits of its one-shot formula.
 """
 
 from __future__ import annotations
@@ -627,29 +627,13 @@ def self_attention(x, weights, lengths, num_heads: int, p: float = 0.0, rng=None
 
 
 def _row_chunks(n: int) -> list[slice]:
-    """ceil(n / FFN_CHUNK_ROWS) consecutive row slices covering n rows,
-    sized as ``np.array_split`` sizes them: the first n % k one row longer."""
-    k = -(-n // FFN_CHUNK_ROWS)
+    """ceil(n / FFN_CHUNK_ROWS) consecutive row slices covering n rows (one
+    empty slice for n = 0), sized as ``np.array_split`` sizes them: the
+    first n % k one row longer."""
+    k = max(1, -(-n // FFN_CHUNK_ROWS))
     q, r = divmod(n, k)
     edges = [i * q + min(i, r) for i in range(k + 1)]
     return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
-
-
-def _ffn_forward(x, w1, b1, w2, a=None, out=None):
-    """Pre-activation h, tanh term t, activation a and ``a @ w2`` of some
-    rows; a and the product are written into ``a`` and ``out`` if given."""
-    h = x @ w1
-    h += b1
-    a, t = _gelu(h, out=a)
-    return h, t, a, np.matmul(a, w2, out=out)
-
-
-def _ffn_backward(g, h, t, w1, w2, da=None, dx=None):
-    """Gradients at the pre-activation and at the input of some rows, given
-    the output gradient g; written into ``da`` and ``dx`` if given."""
-    da = np.matmul(g, w2.T, out=da)
-    da *= _gelu_grad(h, t)
-    return da, np.matmul(da, w1.T, out=dx)
 
 
 def feed_forward(x, w1, b1, w2, b2, p: float = 0.0, rng=None) -> Tensor:
@@ -658,25 +642,28 @@ def feed_forward(x, w1, b1, w2, b2, p: float = 0.0, rng=None) -> Tensor:
     ``x`` is [N, d], ``w1`` [d, f] and ``w2`` [f, d]. Given an ``rng``,
     dropout at rate p applies to the output, its mask drawn whole.
 
-    Above FFN_CHUNK_ROWS rows the rows run in ``_row_chunks(N)``, so a
-    chunk's [rows, f] intermediates stay in cache from one linear through
-    GELU to the next; the weight and bias gradients stay products over all
-    N rows. Each chunk has at least FFN_CHUNK_ROWS / 2 rows, where a BLAS
-    product's rows were measured not to depend on how many rows share it,
-    so the op gives the bits of the one-shot formula, which runs as it is
-    up to FFN_CHUNK_ROWS rows (a prediction at the default max_len of 150).
+    The rows run in ``_row_chunks(N)``, so a chunk's [rows, f]
+    intermediates stay in cache from one linear through GELU to the next;
+    the weight and bias gradients stay products over all N rows. Up to
+    FFN_CHUNK_ROWS rows (a prediction at the default max_len of 150) the
+    one chunk is a view of all rows. A longer chunk has at least
+    FFN_CHUNK_ROWS / 2 rows, and with the numpy 2.4 / OpenBLAS 0.3.31
+    (SkylakeX kernel) build a product's rows were measured not to depend on
+    how many rows of that size share it, so the op gave the bits of the
+    one-shot formula. That is a property of this BLAS build, measured on
+    one machine, like the training determinism the README states.
     """
     x, w1, b1, w2, b2 = (as_tensor(t) for t in (x, w1, b1, w2, b2))
     drop = _drops(p, rng)
-    n, f = x.data.shape[0], w1.data.shape[1]
-    chunks = _row_chunks(n) if n > FFN_CHUNK_ROWS else None
-    if chunks is None:
-        h, t, a, out = _ffn_forward(x.data, w1.data, b1.data, w2.data)
-        tanh_terms = [(h, t)]
-    else:
-        a, out = np.empty((n, f)), np.empty((n, w2.data.shape[1]))
-        tanh_terms = [_ffn_forward(x.data[rows], w1.data, b1.data, w2.data, a[rows], out[rows])[:2]
-                      for rows in chunks]
+    chunks = _row_chunks(x.data.shape[0])
+    a = np.empty((x.data.shape[0], w1.data.shape[1]))
+    out = np.empty((x.data.shape[0], w2.data.shape[1]))
+    tanh_terms = []
+    for rows in chunks:
+        h = x.data[rows] @ w1.data
+        h += b1.data
+        tanh_terms.append((h, _gelu(h, out=a[rows])[1]))
+        np.matmul(a[rows], w2.data, out=out[rows])
     out += b2.data
     mask = _dropout_mask(out.shape, p, rng) if drop else None
     if mask is not None:
@@ -685,12 +672,11 @@ def feed_forward(x, w1, b1, w2, b2, p: float = 0.0, rng=None) -> Tensor:
     def bw(g):
         if mask is not None:
             g = g * mask
-        if chunks is None:
-            da, dx = _ffn_backward(g, *tanh_terms[0], w1.data, w2.data)
-        else:
-            da, dx = np.empty((n, f)), np.empty(x.data.shape)
-            for rows, (h, t) in zip(chunks, tanh_terms):
-                _ffn_backward(g[rows], h, t, w1.data, w2.data, da[rows], dx[rows])
+        da, dx = np.empty_like(a), np.empty(x.data.shape)
+        for rows, (h, t) in zip(chunks, tanh_terms):
+            d_rows = np.matmul(g[rows], w2.data.T, out=da[rows])
+            d_rows *= _gelu_grad(h, t)
+            np.matmul(d_rows, w1.data.T, out=dx[rows])
         return dx, x.data.T @ da, da.sum(axis=0), a.T @ g, g.sum(axis=0)
 
     return _make(out, (x, w1, b1, w2, b2), bw)

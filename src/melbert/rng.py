@@ -67,14 +67,13 @@ class Rng:
         return self._gen.random(size=shape)
 
     def keep(self, shape, p: float) -> np.ndarray:
-        """Boolean flags of ``shape``, each False with probability ``p`` in [0, 1].
+        """Boolean flags of ``shape``, each False with probability ``p``,
+        a rate in [0, 1] that the caller has checked.
 
         Each raw 64-bit Philox output gives two 32-bit lanes, its low half
         then its high half, for consecutive flags in C order; a flag is
         kept when its lane is at least ``round(p * 2**32)``.
         """
-        if not 0.0 <= p <= 1.0:
-            raise ContractError(f"drop probability {p} outside [0, 1]")
         n = int(np.prod(shape))
         raw = self._gen.bit_generator.random_raw((n + 1) // 2)
         cut = np.uint64(round(p * 2**32))  # compared in uint64, so a cut of 2**32 drops every lane

@@ -99,8 +99,3 @@ class TestKeep:
         assert round(p * 2**32) == 2**32
         assert not Rng(12, "keep").keep((10_000,), p).any()
         assert Rng(12, "keep").keep((10_000,), 0.0).all()
-
-    @pytest.mark.parametrize("p", [-0.1, 1.5])
-    def test_rate_outside_unit_interval(self, p):
-        with pytest.raises(ContractError):
-            Rng(13, "keep").keep((3,), p)
