@@ -210,8 +210,8 @@ def cmd_tokenizer_train(args, settings) -> int:
 
 def cmd_train(args, settings) -> int:
     vocab = Vocab.load(args.vocab)
-    instances = _load_instances(args.corpus)
     model_cfg, train_cfg, run = build_configs(settings, len(vocab))
+    instances = _load_instances(args.corpus)
 
     print(echo_settings(settings))
     summary = summarize(instances)
@@ -311,10 +311,10 @@ def cmd_predict(args, settings) -> int:
 
 def cmd_ablate(args, settings) -> int:
     vocab = Vocab.load(args.vocab)
+    model_cfg, train_cfg, run = build_configs(settings, len(vocab))
     train_set = _load_instances(args.corpus)
     eval_set = _load_instances(args.eval_corpus)
     sha = dataset_sha256(args.eval_corpus)
-    model_cfg, train_cfg, run = build_configs(settings, len(vocab))
     os.makedirs(args.out_dir, exist_ok=True)
 
     rows = {}
@@ -333,12 +333,12 @@ def cmd_ablate(args, settings) -> int:
 
 def cmd_cv(args, settings) -> int:
     vocab = Vocab.load(args.vocab)
+    model_cfg, train_cfg, run = build_configs(settings, len(vocab))
     train_set = _load_instances(args.corpus)
     sentences = len(first_rows(train_set))
     if settings["k"] > sentences:
         raise UsageError(f"k {settings['k']} exceeds the {sentences} distinct sentences of {args.corpus}")
     eval_set = _load_instances(args.eval_corpus)
-    model_cfg, train_cfg, run = build_configs(settings, len(vocab))
     ensemble, results = bagging_cv_train(model_cfg, vocab, train_set, k=run.k, cfg=train_cfg, seed=run.seed)
     report = evaluate_model(ensemble, eval_set)
     print(render_table({"ensemble": report.overall}, title=f"{run.k}-fold bagging"))

@@ -109,28 +109,6 @@ def _parse_row(line: str) -> Instance:
                     pos_tag=pos_field, genre=genre_field or None)
 
 
-def save_corpus(instances, path) -> None:
-    lines = [HEADER]
-    for inst in instances:
-        for tok in inst.tokens:
-            if " " in tok or "\t" in tok or "\n" in tok:
-                raise FormatError(f"token {tok!r} cannot be written to the tokens field")
-        lines.append(
-            "\t".join(
-                [
-                    inst.sentence_id,
-                    " ".join(inst.tokens),
-                    str(inst.target_index),
-                    format(inst.label, "g"),
-                    inst.pos_tag,
-                    inst.genre or "",
-                ]
-            )
-        )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 @dataclass(frozen=True)
 class DatasetSummary:
     token_count: int

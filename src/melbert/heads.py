@@ -28,7 +28,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, ContractError, DimensionError
+from .errors import ContractError, DimensionError
 from .params import Draw, Take
 
 
@@ -73,13 +73,10 @@ class HeadParams:
         return {prefix + slot.replace("_", "."): t for slot, t in vars(self).items() if t is not None}
 
 
-def init_head_params(variant: str, hidden_dim: int, head_dim: int, source: Draw | Take,
+def init_head_params(variant: Variant, hidden_dim: int, head_dim: int, source: Draw | Take,
                      init_std: float = 0.02) -> HeadParams:
     """Declare each variant's head parameters; ``source`` draws or takes their values."""
-    try:
-        heads = Variant(variant).heads
-    except ValueError:
-        raise ConfigError(f"unknown variant {variant!r}") from None
+    heads = variant.heads
     d, h = hidden_dim, head_dim
     slots = {}
     for head in heads:
@@ -88,19 +85,6 @@ def init_head_params(variant: str, hidden_dim: int, head_dim: int, source: Draw 
     slots["w"] = source.normal("w", (h * len(heads) if heads else d,), init_std)
     slots["b"] = source.fill("b", (), 0.0)
     return HeadParams(**slots)
-
-
-def declared_head_param_count(variant: str, hidden_dim: int, head_dim: int) -> int:
-    """Parameter count each variant is supposed to carry."""
-    d, h = hidden_dim, head_dim
-    mlp = 2 * d * h + h
-    if variant == "melbert":
-        return 2 * mlp + 2 * h + 1
-    if variant in ("no_spv", "no_mip"):
-        return mlp + h + 1
-    if variant in ("base_all2all", "seq"):
-        return d + 1
-    raise ConfigError(f"unknown variant {variant!r}")
 
 
 def _pair_mlp(a: Tensor, b: Tensor, w: Tensor, bias: Tensor, dropout_p: float, rng) -> Tensor:

@@ -106,7 +106,7 @@ class MetaphorModel:
         self.vocab = vocab
         self.encoder = Encoder(cfg.encoder, encoder_source)
         self.heads = init_head_params(
-            cfg.variant.value, cfg.encoder.hidden_dim, cfg.resolved_head_dim,
+            cfg.variant, cfg.encoder.hidden_dim, cfg.resolved_head_dim,
             head_source, init_std=cfg.encoder.init_std,
         )
         self.counters = PassCounters()
@@ -121,9 +121,6 @@ class MetaphorModel:
 
     def param_count(self) -> int:
         return sum(t.data.size for t in self.parameters().values())
-
-    def head_param_count(self) -> int:
-        return sum(t.data.size for t in self.heads.named().values())
 
     def zero_grads(self) -> None:
         for t in self.parameters().values():

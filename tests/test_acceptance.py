@@ -26,7 +26,6 @@ from melbert.heads import (
     combine_pair,
     combine_single,
     contrast_head,
-    declared_head_param_count,
     init_head_params,
     interaction_head,
 )
@@ -34,6 +33,8 @@ from melbert.model import MetaphorModel, ModelConfig, Variant
 from melbert.params import Draw
 from melbert.rng import Rng
 from melbert.training import TrainConfig, lr_at, train_single
+
+from test_heads import declared_head_param_count
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "..", "data")
 
@@ -104,7 +105,7 @@ def test_criterion_02_head_formula_oracles():
         def np_sigmoid(x):
             return 1.0 / (1.0 + np.exp(-x))
 
-        hp = init_head_params("melbert", d, h, Draw(Rng(5, "acceptance-heads")))
+        hp = init_head_params(Variant.MELBERT, d, h, Draw(Rng(5, "acceptance-heads")))
         rng = np.random.default_rng(55)
         for _ in range(1000):
             v_s = rng.standard_normal(d)
@@ -121,7 +122,7 @@ def test_criterion_02_head_formula_oracles():
             np.testing.assert_allclose(h_g.data[0], want_g, atol=1e-12, rtol=0)
             np.testing.assert_allclose(y.data[0], want_y, atol=1e-12, rtol=0)
 
-        hp1 = init_head_params("seq", d, h, Draw(Rng(6, "acceptance-heads")))
+        hp1 = init_head_params(Variant.SEQ, d, h, Draw(Rng(6, "acceptance-heads")))
         for _ in range(1000):
             v = rng.standard_normal(d)
             got = combine_single(Tensor(v[None]), hp1).data[0]
@@ -188,7 +189,7 @@ def test_criterion_04_ablation_dead_parameters():
             m = small_model(variant)
             d = m.cfg.encoder.hidden_dim
             declared = declared_head_param_count(variant.value, d, m.cfg.resolved_head_dim)
-            assert m.head_param_count() == declared, variant.value
+            assert sum(t.data.size for t in m.heads.named().values()) == declared, variant.value
             if variant in (Variant.NO_MIP, Variant.BASE_ALL2ALL, Variant.SEQ):
                 assert m.heads.f_w is None
             if variant in (Variant.NO_SPV, Variant.BASE_ALL2ALL, Variant.SEQ):

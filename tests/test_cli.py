@@ -13,11 +13,12 @@ from melbert import cli, training
 from melbert.bpe import DEFAULT_POS_TAGS
 from melbert.checkpoint import open_checkpoint, save_checkpoint
 from melbert.cli import main, parse_config_file
-from melbert.data import make_synthetic_corpus, save_corpus
+from melbert.data import make_synthetic_corpus
 from melbert.errors import ConfigError
 from melbert.model import Variant
 from melbert.settings import plain
 
+from test_data import save_corpus
 from test_training import rewrite
 
 
@@ -772,6 +773,7 @@ OUT_OF_DOMAIN = [
     ("train", "init_std", ["--init-std", "nan"]),
     ("train", "threshold", ["--threshold", "nan"]),
     ("train", "dropout", ["--dropout", "1"]),
+    ("train", "hidden_dim", ["--hidden-dim", "30", "--num-heads", "4"]),
     ("cv", "k", ["--k", "1"]),
 ]
 
@@ -796,6 +798,24 @@ class TestOutOfDomainSettings:
         assert code == 2 and out == ""
         assert err.startswith("usage error: ") and err.count("\n") == 1
         assert key in err or "--" + key.replace("_", "-") in err
+
+    @pytest.mark.parametrize("command", ["train", "ablate", "cv"])
+    @pytest.mark.parametrize("argv", [["--objective", "mse", "--pos-weight", "2"],
+                                      ["--hidden-dim", "65", "--num-heads", "2"]],
+                             ids=["pos_weight-under-mse", "hidden_dim-by-num_heads"])
+    def test_cross_field_refused_before_any_corpus_is_read(self, workdir, tmp_path, capsys, command, argv):
+        """A setting refused for what another setting holds is refused before
+        a corpus is read: a corpus with a bad header never gets the chance
+        to end the run with a runtime error first."""
+        bad = tmp_path / "bad.tsv"
+        bad.write_text("wrong\theader\n", encoding="utf-8")
+        paths = {"train": ["--out", tmp_path / "never.ckpt"], "ablate": ["--eval-corpus", bad, "--out-dir", tmp_path],
+                 "cv": ["--eval-corpus", bad]}
+        code = run(workdir, command, "--corpus", bad, "--vocab", workdir / "vocab.txt",
+                   "--config", workdir / "tiny.cfg", *paths[command], *argv)
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith("usage error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("key, text", [("head_dim", "0"), ("grad_clip", "nan"), ("k", "1")])
     def test_config_file_line(self, tmp_path, key, text):

@@ -14,7 +14,6 @@ from melbert.data import (
     load_corpus,
     make_synthetic_corpus,
     make_transfer_pair,
-    save_corpus,
     summarize,
 )
 from melbert.errors import ConfigError, ContractError, FormatError
@@ -22,6 +21,19 @@ from melbert.errors import ConfigError, ContractError, FormatError
 
 def write_tsv(path, rows):
     path.write_text("\n".join([HEADER] + rows) + "\n", encoding="utf-8")
+
+
+def save_corpus(instances, path) -> None:
+    """Write ``instances`` in the interchange format that ``load_corpus``
+    reads; a token holding a space, tab or newline is refused."""
+    rows = []
+    for inst in instances:
+        for tok in inst.tokens:
+            if any(c in tok for c in " \t\n"):
+                raise FormatError(f"token {tok!r} cannot be written to the tokens field")
+        rows.append("\t".join([inst.sentence_id, " ".join(inst.tokens), str(inst.target_index),
+                               format(inst.label, "g"), inst.pos_tag, inst.genre or ""]))
+    write_tsv(path, rows)
 
 
 def word_field(word: str, spec: SyntheticSpec) -> str | None:

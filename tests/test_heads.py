@@ -7,14 +7,14 @@ from fdcheck import check_grads
 
 from melbert import autodiff as ad
 from melbert.autodiff import Tape, Tensor
-from melbert.errors import ConfigError, ContractError, DimensionError
+from melbert.errors import ContractError, DimensionError
 from melbert.heads import (
     HeadParams,
+    Variant,
     bce_loss,
     combine_pair,
     combine_single,
     contrast_head,
-    declared_head_param_count,
     init_head_params,
     interaction_head,
     mse_loss,
@@ -31,6 +31,20 @@ def np_sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
+def declared_head_param_count(variant: str, hidden_dim: int, head_dim: int) -> int:
+    """Parameter count each variant is supposed to carry, written apart from
+    ``Variant``'s declaration so that it can audit it."""
+    d, h = hidden_dim, head_dim
+    mlp = 2 * d * h + h
+    if variant == "melbert":
+        return 2 * mlp + 2 * h + 1
+    if variant in ("no_spv", "no_mip"):
+        return mlp + h + 1
+    if variant in ("base_all2all", "seq"):
+        return d + 1
+    raise ValueError(f"unknown variant {variant!r}")
+
+
 def head_oracle(a, b, w, bias):
     """Direct numpy version of concat -> affine -> gelu."""
     z = np.concatenate([a, b])
@@ -42,7 +56,7 @@ class TestHeadForward:
 
     def test_interaction_head_formula(self):
         rng = np.random.default_rng(42)
-        hp = init_head_params("melbert", hidden_dim=8, head_dim=6, source=Draw(Rng(0, "h")))
+        hp = init_head_params(Variant.MELBERT, hidden_dim=8, head_dim=6, source=Draw(Rng(0, "h")))
         for _ in range(50):
             a = rng.standard_normal(8)
             b = rng.standard_normal(8)
@@ -52,7 +66,7 @@ class TestHeadForward:
 
     def test_contrast_head_formula(self):
         rng = np.random.default_rng(43)
-        hp = init_head_params("melbert", hidden_dim=8, head_dim=6, source=Draw(Rng(1, "h")))
+        hp = init_head_params(Variant.MELBERT, hidden_dim=8, head_dim=6, source=Draw(Rng(1, "h")))
         for _ in range(50):
             a = rng.standard_normal(8)
             b = rng.standard_normal(8)
@@ -62,7 +76,7 @@ class TestHeadForward:
 
     def test_combiner_formula(self):
         rng = np.random.default_rng(44)
-        hp = init_head_params("melbert", hidden_dim=8, head_dim=6, source=Draw(Rng(2, "h")))
+        hp = init_head_params(Variant.MELBERT, hidden_dim=8, head_dim=6, source=Draw(Rng(2, "h")))
         for _ in range(50):
             hf = rng.standard_normal(6)
             hg = rng.standard_normal(6)
@@ -72,7 +86,7 @@ class TestHeadForward:
 
     def test_single_combiner_formula(self):
         rng = np.random.default_rng(45)
-        hp = init_head_params("no_spv", hidden_dim=8, head_dim=6, source=Draw(Rng(3, "h")))
+        hp = init_head_params(Variant.NO_SPV, hidden_dim=8, head_dim=6, source=Draw(Rng(3, "h")))
         for _ in range(50):
             h = rng.standard_normal(6)
             got = combine_single(Tensor(h[None]), hp).item()
@@ -86,7 +100,7 @@ class TestHeadForward:
         assert 0.0 < lo < hi < 1.0
 
     def test_dimension_mismatch(self):
-        hp = init_head_params("melbert", hidden_dim=8, head_dim=6, source=Draw(Rng(4, "h")))
+        hp = init_head_params(Variant.MELBERT, hidden_dim=8, head_dim=6, source=Draw(Rng(4, "h")))
         with pytest.raises(DimensionError):
             interaction_head(Tensor(np.ones((1, 8))), Tensor(np.ones((1, 5))), hp)
         with pytest.raises(DimensionError):
@@ -109,13 +123,13 @@ class TestParamAccounting:
     def test_declared_counts(self, variant, expect):
         d, h = 16, 12
         assert declared_head_param_count(variant, d, h) == expect(d, h)
-        hp = init_head_params(variant, d, h, Draw(Rng(0, "h")))
+        hp = init_head_params(Variant(variant), d, h, Draw(Rng(0, "h")))
         actual = sum(t.data.size for t in hp.named().values())
         assert actual == declared_head_param_count(variant, d, h)
 
     def test_ablation_combiner_shrinks(self):
-        full = init_head_params("melbert", 16, 12, Draw(Rng(0, "h")))
-        ablated = init_head_params("no_mip", 16, 12, Draw(Rng(0, "h")))
+        full = init_head_params(Variant.MELBERT, 16, 12, Draw(Rng(0, "h")))
+        ablated = init_head_params(Variant.NO_MIP, 16, 12, Draw(Rng(0, "h")))
         assert full.w.shape == (24,)
         assert ablated.w.shape == (12,)
 
@@ -125,10 +139,6 @@ class TestParamAccounting:
         full = declared_head_param_count("melbert", d, h)
         parts = declared_head_param_count("no_mip", d, h) + declared_head_param_count("no_spv", d, h)
         assert full == parts - 1
-
-    def test_unknown_variant(self):
-        with pytest.raises(ConfigError):
-            init_head_params("bogus", 8, 8, Draw(Rng(0, "h")))
 
 
 class TestBceLoss:

@@ -13,9 +13,11 @@ from melbert.bpe import train_bpe
 from melbert.data import Instance, make_synthetic_corpus
 from melbert.encoder import EncoderConfig
 from melbert.errors import ContractError
-from melbert.heads import bce_loss, declared_head_param_count
+from melbert.heads import bce_loss
 from melbert.model import MetaphorModel, ModelConfig, Prediction, Variant
 from melbert.rng import Rng
+
+from test_heads import declared_head_param_count
 
 CORPUS = make_synthetic_corpus(99, 40)
 
@@ -231,9 +233,10 @@ class TestDeadParameters:
         model = make_model(vocab, variant)
         d = model.cfg.encoder.hidden_dim
         h = model.cfg.resolved_head_dim
-        assert model.head_param_count() == declared_head_param_count(variant.value, d, h)
+        head_count = sum(t.data.size for t in model.heads.named().values())
+        assert head_count == declared_head_param_count(variant.value, d, h)
         enc_count = sum(t.data.size for t in model.encoder.params.values())
-        assert model.param_count() == enc_count + model.head_param_count()
+        assert model.param_count() == enc_count + head_count
 
 
 class TestTargetCache:
