@@ -36,7 +36,7 @@ def main():
     best = {"pearson": -2.0, "preds": None}
 
     def keep_best(epoch, model, losses):
-        p = np.array([model.score_instance(i).item() for i in heldout])
+        p = np.array([model.predict(i).score for i in heldout])
         score = regression_scores(p, target).pearson
         if score > best["pearson"]:
             best["pearson"], best["preds"] = score, p

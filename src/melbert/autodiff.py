@@ -12,6 +12,8 @@ graph memory accumulates.
 
 A ``Tensor`` has no arithmetic operators, so graphs are composed from
 this module's ops; ``t[idx]`` is the one shorthand, for ``getitem``.
+``sigmoid`` makes a logit a score in (0, 1); ``softplus`` lets a loss
+read the logit itself.
 Besides the primitive ops, ``self_attention`` and ``feed_forward`` each
 run a whole transformer sublayer as one record with a hand-written
 backward. They share their numpy formulas with ``softmax``, ``gelu`` and
@@ -512,6 +514,13 @@ def sigmoid(a) -> Tensor:
         return (g * out * (1.0 - out),)
 
     return _make(out, (a,), bw)
+
+
+def softplus(a) -> Tensor:
+    """log(1 + e^x), finite at every finite x; its gradient σ(x) is exp(-softplus(-x)), which never cancels."""
+    a = as_tensor(a)
+    x = a.data
+    return _make(np.logaddexp(0.0, x), (a,), lambda g: (g * np.exp(-np.logaddexp(0.0, -x)),))
 
 
 def dropout(a, p: float, rng=None) -> Tensor:

@@ -1,16 +1,16 @@
 """Command-line front end.
 
 Subcommands cover the full workflow: tokenizer-train builds a
-vocabulary from a corpus, train fits one model, eval scores a
-checkpoint with per-group breakdowns, predict scores a single sentence,
-ablate runs all five variants under one protocol, and cv trains a
-bagged k-fold ensemble. Settings come from an optional config file of
-``key = value`` lines, overridden by command-line flags; both take the
-fields of the config classes, and a command refuses a setting it would
-not use. Each command's files are declared once, in ``_PATHS``, and
-checked before it reads anything. Exit codes:
-0 success, 1 runtime failure, 2 usage problems (bad flags, missing
-files or output directories, malformed settings).
+vocabulary from a corpus, train fits one model, eval scores a checkpoint
+with per-group breakdowns and unknown-token rates, predict scores a
+single sentence, ablate runs all five variants under one protocol, and
+cv trains a bagged k-fold ensemble. Settings come from an optional
+config file of ``key = value`` lines, overridden by command-line flags;
+both take the fields of the config classes, and a command refuses a
+setting it would not use. Each command's files are declared once, in
+``_PATHS``, and checked before it reads anything. Exit codes: 0 success,
+1 runtime failure, 2 usage problems (bad flags, missing files or output
+directories, malformed settings).
 """
 
 from __future__ import annotations
@@ -29,12 +29,7 @@ from .bpe import Vocab, train_bpe
 from .data import Instance, first_rows, load_corpus, summarize
 from .encoder import EncoderConfig
 from .errors import ConfigError, MelbertError, read_text
-from .evaluation import (
-    evaluate_model,
-    render_table,
-    report_to_json,
-    zero_shot_eval,
-)
+from .evaluation import evaluate_model, render_table, report_to_json, unknown_rates
 from .model import ModelConfig, Variant
 from .settings import Field, Range, Settings, Spec, check, parse_text, plain, schema
 from .training import (
@@ -237,6 +232,10 @@ def cmd_train(args, settings) -> int:
     return 0
 
 
+# eval's --threshold replaces the checkpoint's, so it has the checkpoint setting's domain
+_THRESHOLD = next(f.spec for f in schema(ModelConfig) if f.name == "threshold")
+
+
 def _parse_breakdown(spec: str) -> list[str]:
     parts = [p.strip() for p in spec.split(",") if p.strip()]
     bad = [p for p in parts if p not in ("genre", "pos")]
@@ -247,15 +246,15 @@ def _parse_breakdown(spec: str) -> list[str]:
 
 def cmd_eval(args, settings) -> int:
     groups = _parse_breakdown(args.breakdown)
+    if args.threshold is not None:
+        check(_THRESHOLD, args.threshold, "threshold")
     vocab = Vocab.load(args.vocab)
     model = load_model(args.checkpoint, vocab)
     if args.threshold is not None:
         model.cfg = dataclasses.replace(model.cfg, threshold=args.threshold)
     instances = _load_instances(args.corpus)
-    if args.zero_shot:
-        report = zero_shot_eval(model, vocab, instances)
-    else:
-        report = evaluate_model(model, instances)
+    report = evaluate_model(model, instances)
+    report.flags.update(unknown_rates(vocab, instances))
 
     print(render_table({"overall": report.overall}))
     if "genre" in groups and report.by_genre:
@@ -403,10 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _add_command(sub, "eval", cmd_eval, "score a checkpoint against a corpus")
     p.add_argument("--breakdown", default="genre,pos")
-    threshold = next(f.spec for f in schema(ModelConfig) if f.name == "threshold")
-    p.add_argument("--threshold", type=_flag_type(threshold), help=f"{threshold.label}; default: the checkpoint's")
-    p.add_argument("--zero-shot", dest="zero_shot", action="store_true",
-                   help="also report unknown-token exposure")
+    p.add_argument("--threshold", type=_flag_type(_THRESHOLD), help=f"{_THRESHOLD.label}; default: the checkpoint's")
 
     p = _add_command(sub, "predict", cmd_predict, "score one sentence")
     p.add_argument("--sentence", required=True, help="space-separated tokens")

@@ -152,17 +152,14 @@ def regression_scores(predicted, target) -> RegressionReport:
     return RegressionReport(pearson(x, y), pearson(_average_ranks(x), _average_ranks(y)), n=x.size)
 
 
-def zero_shot_eval(model, vocab: Vocab, instances: list[Instance]) -> EvalReport:
-    """Evaluate on a corpus the model never trained on, tracking UNK rates.
+def unknown_rates(vocab: Vocab, instances: list[Instance]) -> dict[str, float]:
+    """How much of a corpus the vocabulary cannot see: the share of targets
+    that dissolve entirely into [UNK], and of sub-tokens that are [UNK].
 
-    Targets that dissolve entirely into [UNK] make the interaction head
-    blind, so the report carries both the instance-level and token-level
-    unknown rates for interpretation.
+    A target with no known content leaves the interaction head blind, so
+    ``eval`` reports both rates next to its metrics.
     """
-    report = evaluate_model(model, instances)
-    unk_targets = 0
-    unk_tokens = 0
-    total_tokens = 0
+    unk_targets = unk_tokens = total_tokens = 0
     for inst in instances:
         words = [vocab.encode_word(word, initial=pos == 0) for pos, word in enumerate(inst.tokens)]
         total_tokens += sum(len(ids) for ids in words)
@@ -172,9 +169,8 @@ def zero_shot_eval(model, vocab: Vocab, instances: list[Instance]) -> EvalReport
         content = [i for i in words[inst.target_index] if vocab.id_to_token.get(i) != MARKER]
         if content and all(i == UNK_ID for i in content):
             unk_targets += 1
-    report.flags["unk_target_rate"] = unk_targets / len(instances)
-    report.flags["unk_token_rate"] = unk_tokens / total_tokens if total_tokens else 0.0
-    return report
+    return {"unk_target_rate": unk_targets / len(instances),
+            "unk_token_rate": unk_tokens / total_tokens if total_tokens else 0.0}
 
 
 def render_table(rows: dict[str, MetricsReport], title: str = "") -> str:

@@ -15,7 +15,8 @@ head, with a combiner of h weights rather than a zero-padded 2h. The two
 sequence baselines run no head and score a single encoder vector directly.
 
 Heads and combiners work row-wise: their inputs are [B, d] batches of
-vectors, and the combiners return one score per row.
+vectors, and the combiners return one logit per row, ``h·w + b``.
+``bce_loss`` reads it through softplus; a score in (0, 1) is its sigmoid.
 """
 
 from __future__ import annotations
@@ -108,32 +109,32 @@ def contrast_head(v_s: Tensor, v_st: Tensor, hp: HeadParams, dropout_p: float = 
 
 
 def combine_pair(h_f: Tensor, h_g: Tensor, hp: HeadParams) -> Tensor:
-    """Logistic combination of both heads' [B, h] rows; [B] scores in (0, 1)."""
+    """Linear combination of both heads' [B, h] rows; [B] logits."""
     return combine_single(ad.concat([h_f, h_g], axis=1), hp)
 
 
 def combine_single(h: Tensor, hp: HeadParams) -> Tensor:
-    """Logistic readout of [B, k] rows (ablations and baselines); [B] scores."""
+    """Linear readout of [B, k] rows (ablations and baselines); [B] logits."""
     if h.ndim != 2 or hp.w.shape != h.shape[1:]:
         raise DimensionError(f"combiner weight {hp.w.shape} does not match input rows {h.shape}")
-    return ad.sigmoid(ad.add(ad.tsum(ad.mul(h, hp.w), axis=1), hp.b))
+    return ad.add(ad.tsum(ad.mul(h, hp.w), axis=1), hp.b)
 
 
-def bce_loss(scores: Tensor, labels, pos_weight: float = 1.0) -> Tensor:
-    """Weighted binary cross-entropy, mean-reduced.
+def bce_loss(logits: Tensor, labels, pos_weight: float = 1.0) -> Tensor:
+    """Weighted binary cross-entropy on logits, mean-reduced.
 
-    Positives get pos_weight, negatives weight 1; predictions are clamped
-    to [1e-12, 1 - 1e-12] before the logs.
+    Row i costs w_i·softplus((1 - 2·y_i)·z_i): -log σ(z_i) on a positive
+    (w = pos_weight), -log(1 - σ(z_i)) on a negative (w = 1). No probability
+    is formed, so the loss is finite at every finite logit, and a wrong one
+    is pushed back with at least half the largest gradient, w/(2n).
     """
     y = np.asarray(labels, dtype=np.float64)
-    if scores.ndim != 1 or y.shape != scores.shape:
-        raise ContractError(f"scores {scores.shape} and labels {y.shape} must be equal-length vectors")
+    if logits.ndim != 1 or y.shape != logits.shape:
+        raise ContractError(f"logits {logits.shape} and labels {y.shape} must be equal-length vectors")
     if not np.isin(y, (0.0, 1.0)).all():
         raise ContractError("labels must be binary 0/1")
-    s = ad.clip(scores, 1e-12, 1.0 - 1e-12)
     weights = np.where(y == 1.0, pos_weight, 1.0)
-    per = ad.add(ad.mul(ad.log(s), Tensor(y)), ad.mul(ad.log(ad.sub(1.0, s)), Tensor(1.0 - y)))
-    return ad.neg(ad.tmean(ad.mul(per, Tensor(weights))))
+    return ad.tmean(ad.mul(ad.softplus(ad.mul(logits, Tensor(1.0 - 2.0 * y))), Tensor(weights)))
 
 
 def mse_loss(scores: Tensor, targets) -> Tensor:

@@ -3,17 +3,17 @@
 Each variant declares the heads it runs (``heads.Variant``). The full
 model encodes each instance twice (late interaction): the sentence with
 positions and segments, and the bare target, which only MIP reads. The
-heads read from those encodings and a logistic combiner produces the
-score. The two baselines run no head: all-to-all packs sentence and
+heads read from those encodings and a linear combiner produces the
+logit. The two baselines run no head: all-to-all packs sentence and
 target into one unmarked sequence and classifies from [CLS]; the
 sequence-labeling baseline classifies from the segment-marked target.
 
-Scoring is batched: ``score_batch`` packs a batch's sentences and the
+Scoring is batched: ``logit_batch`` packs a batch's sentences and the
 targets it must encode, at any id lengths, into one encoder pass, runs
-the heads on [B, d] rows and returns the scores in input order. Inside
+the heads on [B, d] rows and returns the logits in input order. Inside
 the pass each input attends only to its own rows, so a target is still
 encoded free of context. Training scores a whole batch under one tape;
-a prediction is a batch of one.
+a prediction is a batch of one, and the one place a logit becomes a score.
 
 A pass given an ``rng`` is a training pass: every dropout draws its mask
 from it, and every target is encoded. A pass without one applies no
@@ -183,14 +183,14 @@ class MetaphorModel:
         row = {ids: r for r, ids in enumerate([*(tgt.ids for tgt in fresh), *cached])}
         return v_s, v_st, _gather(parts, [row[tgt.ids] for tgt in tgts])
 
-    def score_batch(
+    def logit_batch(
         self,
         sents: list[SentenceInput],
         tgts: list[Optional[TargetInput]],
         rng: Rng | None = None,
     ) -> Tensor:
-        """[B] scores in (0, 1) for B prepared instances, in input order;
-        a training pass, with dropout, when given ``rng``."""
+        """[B] logits for B prepared instances, in input order; a training
+        pass, with dropout, when given ``rng``."""
         if not sents or len(sents) != len(tgts):
             raise ContractError(f"need a non-empty batch of aligned inputs, got {len(sents)} and {len(tgts)}")
         variant = self.cfg.variant
@@ -207,13 +207,10 @@ class MetaphorModel:
         rows = [run[head]() for head in variant.heads]
         return combine_pair(*rows, self.heads) if len(rows) == 2 else combine_single(*rows, self.heads)
 
-    def score_instance(self, inst: Instance, rng: Rng | None = None) -> Tensor:
-        """[1] score for one instance: a batch of one."""
-        sent, tgt = self.build_inputs(inst)
-        return self.score_batch([sent], [tgt], rng)
-
     def predict(self, inst: Instance) -> Prediction:
-        score = self.score_instance(inst).item()
+        """The score in (0, 1) of one instance, a batch of one, and its label."""
+        sent, tgt = self.build_inputs(inst)
+        score = ad.sigmoid(self.logit_batch([sent], [tgt])).item()
         return Prediction(score=score, label=int(score >= self.cfg.threshold))
 
 

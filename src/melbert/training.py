@@ -1,7 +1,7 @@
 """Training loop: Adam with warmup/decay, per-epoch checkpoints that
 resume bit-exactly, and bagged k-fold CV.
 
-A training batch is scored by one ``score_batch`` call under one tape:
+A training batch is scored by one ``logit_batch`` call under one tape:
 its sentences and, for the late-interaction variants, its targets are
 packed into one encoder pass, so the mean loss over the batch
 backpropagates in a single sweep. (A prediction is the
@@ -154,11 +154,12 @@ class TrainResult:
 
 
 def _objective(dataset, cfg: TrainConfig) -> tuple[Callable, np.ndarray]:
-    """The loss ``cfg.objective`` names, and the labels it reads: 0/1 gold for bce, graded for mse."""
+    """The loss of a batch's logits that ``cfg.objective`` names, and the labels
+    it reads: 0/1 gold for bce, graded for mse (against the sigmoid scores)."""
     if cfg.objective == "mse":
-        return mse_loss, np.array([i.label for i in dataset])
+        return (lambda logits, labels: mse_loss(ad.sigmoid(logits), labels)), np.array([i.label for i in dataset])
     gold = np.array([float(i.gold) for i in dataset])
-    return (lambda scores, labels: bce_loss(scores, labels, cfg.pos_weight)), gold
+    return (lambda logits, labels: bce_loss(logits, labels, cfg.pos_weight)), gold
 
 
 def _live_arrays(model: MetaphorModel) -> dict[str, np.ndarray]:
@@ -346,9 +347,9 @@ def train_single(
         for b in range(n_batches):
             idx = perm[b * cfg.batch_size : (b + 1) * cfg.batch_size]
             with Tape():
-                scores = model.score_batch([prepared[j][0] for j in idx], [prepared[j][1] for j in idx],
+                logits = model.logit_batch([prepared[j][0] for j in idx], [prepared[j][1] for j in idx],
                                            rng=Rng(seed, f"train/step/{global_step}"))
-                loss = loss_fn(scores, labels[idx])
+                loss = loss_fn(logits, labels[idx])
             loss_value = loss.item()
             if not np.isfinite(loss_value):
                 raise TrainingDivergedError(
@@ -387,7 +388,7 @@ class CvEnsemble:
         self.threshold = models[0].cfg.threshold
 
     def score(self, inst: Instance) -> float:
-        return float(np.mean([m.score_instance(inst).item() for m in self.models]))
+        return float(np.mean([m.predict(inst).score for m in self.models]))
 
     def predict(self, inst: Instance) -> Prediction:
         s = self.score(inst)

@@ -16,6 +16,7 @@ import pytest
 
 from fdcheck import check_grads
 
+from melbert import autodiff as ad
 from melbert.autodiff import Tensor
 from melbert.bpe import Vocab, train_bpe
 from melbert.data import Instance, load_corpus, make_synthetic_corpus, summarize
@@ -85,8 +86,8 @@ def test_criterion_01_full_model_gradient_fidelity():
                 else:
                     setattr(model.heads, n[5:].replace(".", "_"), t)
             # one batch: ids of lengths 10, 12 and 12, the target "sail" twice
-            scores = model.score_batch([s for s, _ in prepared], [g for _, g in prepared])
-            return bce_loss(scores, labels, pos_weight=2.0)
+            logits = model.logit_batch([s for s, _ in prepared], [g for _, g in prepared])
+            return bce_loss(logits, labels, pos_weight=2.0)
 
         model._target_cache = _NoCache()
         check_grads(build, arrays, n_probes=200, rng=np.random.default_rng(2024),
@@ -113,7 +114,7 @@ def test_criterion_02_head_formula_oracles():
             v_t = rng.standard_normal(d)
             h_f = interaction_head(Tensor(v_st[None]), Tensor(v_t[None]), hp)
             h_g = contrast_head(Tensor(v_s[None]), Tensor(v_st[None]), hp)
-            y = combine_pair(h_f, h_g, hp)
+            y = ad.sigmoid(combine_pair(h_f, h_g, hp))
 
             want_f = np_gelu(np.concatenate([v_st, v_t]) @ hp.f_w.data + hp.f_b.data)
             want_g = np_gelu(np.concatenate([v_s, v_st]) @ hp.g_w.data + hp.g_b.data)
@@ -125,7 +126,7 @@ def test_criterion_02_head_formula_oracles():
         hp1 = init_head_params(Variant.SEQ, d, h, Draw(Rng(6, "acceptance-heads")))
         for _ in range(1000):
             v = rng.standard_normal(d)
-            got = combine_single(Tensor(v[None]), hp1).data[0]
+            got = ad.sigmoid(combine_single(Tensor(v[None]), hp1)).data[0]
             want = np_sigmoid(v @ hp1.w.data + hp1.b.data)
             np.testing.assert_allclose(got, want, atol=1e-12, rtol=0)
 

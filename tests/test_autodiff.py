@@ -132,6 +132,24 @@ class TestPointwiseForward:
         with np.errstate(over="raise"):
             ad.sigmoid(Tensor(np.array([-1000.0])))
 
+    def test_softplus_matches_direct_formula(self):
+        x = np.linspace(-20.0, 20.0, 81)
+        np.testing.assert_allclose(ad.softplus(Tensor(x)).data, np.log1p(np.exp(x)), atol=1e-12, rtol=1e-12)
+
+    def test_softplus_finite_with_logistic_gradient_at_extremes(self):
+        x = Tensor(np.array([-1e6, -700.0, -30.0, 30.0, 700.0, 1e6]), requires_grad=True)
+        with np.errstate(over="raise", divide="raise", invalid="raise"), Tape():
+            out = ad.softplus(x)
+            loss = ad.tsum(out)
+        ad.backward(loss)
+        # where e^x overflows, log(1 + e^x) is x to double precision
+        want = [0.0, *np.log1p(np.exp([-700.0, -30.0, 30.0, 700.0])), 1e6]
+        np.testing.assert_allclose(out.data, want, rtol=1e-14, atol=0)
+        # the gradient is sigma(x): 0 only where e^x underflows
+        want = [0.0, *(1.0 / (1.0 + np.exp([700.0, 30.0, -30.0, -700.0]))), 1.0]
+        np.testing.assert_allclose(x.grad, want, rtol=1e-14, atol=0)
+        assert x.grad[0] == 0.0 and (x.grad[1:] > 0.0).all()
+
 
 class TestDropout:
     """Inverted dropout semantics."""
@@ -235,6 +253,13 @@ class TestGradientChecks:
         self._probe(
             lambda x: ad.tsum(ad.exp(x)),
             [self.rng.standard_normal(10)],
+        )
+
+    def test_softplus(self):
+        w = self.rng.standard_normal(20)
+        self._probe(
+            lambda x: ad.tsum(ad.mul(ad.softplus(x), Tensor(w))),
+            [self.rng.standard_normal(20) * 4],
         )
 
     def test_clip_interior(self):

@@ -289,12 +289,28 @@ class TestEval:
         assert code == 2
         assert err == f"usage error: 'threshold' must be float > 0 and < 1, got {float(value)!r}\n"
 
+    @pytest.mark.parametrize("value", ["1.5", "nan"])
+    @pytest.mark.parametrize("bad", ["vocab", "checkpoint"])
+    def test_threshold_checked_before_any_read(self, workdir, tmp_path, capsys, value, bad):
+        paths = {"vocab": workdir / "vocab.txt", "checkpoint": workdir / "model.ckpt"}
+        paths[bad] = tmp_path / f"bad.{bad}"
+        paths[bad].write_text(f"not a {bad}\n")
+        code = run(workdir, "eval", "--corpus", workdir / "heldout.tsv", "--vocab", paths["vocab"],
+                   "--checkpoint", paths["checkpoint"], "--threshold", value)
+        assert code == 2
+        assert capsys.readouterr().err == f"usage error: 'threshold' must be float > 0 and < 1, got {float(value)!r}\n"
+
     def test_zero_shot_flags(self, workdir, capsys):
-        code = run(workdir, "eval", "--corpus", workdir / "heldout.tsv",
-                   "--vocab", workdir / "vocab.txt",
-                   "--checkpoint", workdir / "model.ckpt", "--zero-shot")
-        assert code == 0
-        assert "unk_target_rate" in capsys.readouterr().out
+        # every eval reports its unknown-token rates; the flag that asked for them is gone
+        args = ["eval", "--corpus", workdir / "heldout.tsv", "--vocab", workdir / "vocab.txt",
+                "--checkpoint", workdir / "model.ckpt"]
+        assert run(workdir, *args) == 0
+        out = capsys.readouterr().out
+        assert "unk_target_rate: " in out and "unk_token_rate: " in out
+        with pytest.raises(SystemExit) as exc:
+            run(workdir, *args, "--zero-shot")
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == "usage error: melbert: unrecognized arguments for eval: --zero-shot\n"
 
 
 class TestPredict:

@@ -23,7 +23,7 @@ from melbert.evaluation import (
     render_table,
     report_to_json,
     score_predictions,
-    zero_shot_eval,
+    unknown_rates,
 )
 from melbert.model import Prediction
 from melbert.rng import Rng
@@ -229,18 +229,16 @@ class TestZeroShot:
                                 sentence_id="alien-1"),
             corpus[1],
         ]
-        model = ScriptedModel([1, 0])
-        report = zero_shot_eval(model, vocab, alien)
-        assert report.flags["unk_target_rate"] == pytest.approx(0.5)
-        assert 0.0 < report.flags["unk_token_rate"] < 1.0
+        rates = unknown_rates(vocab, alien)
+        assert rates["unk_target_rate"] == pytest.approx(0.5)
+        assert 0.0 < rates["unk_token_rate"] < 1.0
 
     def test_in_vocab_corpus_has_zero_rates(self):
         corpus = make_synthetic_corpus(6, 12)
         vocab = train_bpe((" ".join(i.tokens) for i in corpus), 220)
-        model = ScriptedModel([int(i.gold) for i in corpus])
-        report = zero_shot_eval(model, vocab, corpus)
-        assert report.flags["unk_target_rate"] == 0.0
-        assert report.flags["unk_token_rate"] == 0.0
+        rates = unknown_rates(vocab, corpus)
+        assert rates["unk_target_rate"] == 0.0
+        assert rates["unk_token_rate"] == 0.0
 
 
 class TestRendering:

@@ -27,10 +27,6 @@ def np_gelu(x):
     return 0.5 * x * (1 + np.tanh(np.sqrt(2 / np.pi) * (x + 0.044715 * x**3)))
 
 
-def np_sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
-
-
 def declared_head_param_count(variant: str, hidden_dim: int, head_dim: int) -> int:
     """Parameter count each variant is supposed to carry, written apart from
     ``Variant``'s declaration so that it can audit it."""
@@ -81,7 +77,7 @@ class TestHeadForward:
             hf = rng.standard_normal(6)
             hg = rng.standard_normal(6)
             got = combine_pair(Tensor(hf[None]), Tensor(hg[None]), hp).item()
-            want = np_sigmoid(np.concatenate([hf, hg]) @ hp.w.data + hp.b.data)
+            want = np.concatenate([hf, hg]) @ hp.w.data + hp.b.data
             np.testing.assert_allclose(got, want, atol=1e-12, rtol=0)
 
     def test_single_combiner_formula(self):
@@ -90,13 +86,14 @@ class TestHeadForward:
         for _ in range(50):
             h = rng.standard_normal(6)
             got = combine_single(Tensor(h[None]), hp).item()
-            want = np_sigmoid(h @ hp.w.data + hp.b.data)
+            want = h @ hp.w.data + hp.b.data
             np.testing.assert_allclose(got, want, atol=1e-12, rtol=0)
 
     def test_scores_always_in_open_interval(self):
+        # logits of +-4e6 still report scores strictly inside (0, 1)
         hp = HeadParams(w=Tensor(np.full(4, 1e6)), b=Tensor(np.array(0.0)))
-        hi = combine_single(Tensor(np.ones((1, 4))), hp).item()
-        lo = combine_single(Tensor(-np.ones((1, 4))), hp).item()
+        hi = ad.sigmoid(combine_single(Tensor(np.ones((1, 4))), hp)).item()
+        lo = ad.sigmoid(combine_single(Tensor(-np.ones((1, 4))), hp)).item()
         assert 0.0 < lo < hi < 1.0
 
     def test_dimension_mismatch(self):
@@ -142,34 +139,47 @@ class TestParamAccounting:
 
 
 class TestBceLoss:
-    """Weighted binary cross-entropy."""
+    """Weighted binary cross-entropy on logits."""
 
     def test_frozen_hand_value(self):
-        # scores (0.8, 0.3), labels (1, 0), pos_weight 10:
+        # logits ln 4 and ln(3/7) are scores 0.8 and 0.3; labels (1, 0), pos_weight 10:
         # (10 * -ln(0.8) + -ln(0.7)) / 2 computed by hand
-        loss = bce_loss(Tensor(np.array([0.8, 0.3])), [1, 0], pos_weight=10.0)
+        loss = bce_loss(Tensor(np.log([4.0, 3.0 / 7.0])), [1, 0], pos_weight=10.0)
         np.testing.assert_allclose(loss.item(), 1.2940552285404150, atol=1e-12, rtol=0)
 
     def test_unit_weight_reduces_to_plain_mean(self):
         rng = np.random.default_rng(46)
         s = rng.uniform(0.05, 0.95, size=16)
         y = rng.integers(0, 2, size=16).astype(float)
-        got = bce_loss(Tensor(s), y, pos_weight=1.0).item()
+        got = bce_loss(Tensor(np.log(s) - np.log1p(-s)), y, pos_weight=1.0).item()
         want = -np.mean(y * np.log(s) + (1 - y) * np.log(1 - s))
         np.testing.assert_allclose(got, want, atol=1e-12, rtol=0)
 
     def test_weight_scales_only_positives(self):
-        s = Tensor(np.array([0.6, 0.6]))
-        base_pos = bce_loss(s, [1, 1], pos_weight=1.0).item()
-        up_pos = bce_loss(s, [1, 1], pos_weight=3.0).item()
+        z = Tensor(np.array([0.4, 0.4]))
+        base_pos = bce_loss(z, [1, 1], pos_weight=1.0).item()
+        up_pos = bce_loss(z, [1, 1], pos_weight=3.0).item()
         np.testing.assert_allclose(up_pos, 3 * base_pos, atol=1e-12)
-        base_neg = bce_loss(s, [0, 0], pos_weight=1.0).item()
-        up_neg = bce_loss(s, [0, 0], pos_weight=3.0).item()
+        base_neg = bce_loss(z, [0, 0], pos_weight=1.0).item()
+        up_neg = bce_loss(z, [0, 0], pos_weight=3.0).item()
         np.testing.assert_allclose(up_neg, base_neg, atol=1e-15)
 
-    def test_clamp_keeps_loss_finite(self):
-        loss = bce_loss(Tensor(np.array([1.0, 0.0])), [0, 1], pos_weight=1.0)
+    @pytest.mark.parametrize("y", [0, 1])
+    def test_gradient_at_saturated_logits(self, y):
+        # a wrong logit is pushed back at least half as hard as the loss can
+        # push, w / n, however far out it is; a right one is never pushed away
+        z = Tensor(np.array([-1e6, -700.0, -30.0, 30.0, 700.0, 1e6]), requires_grad=True)
+        w = 3.0 if y == 1 else 1.0
+        with Tape():
+            loss = bce_loss(z, [y] * 6, pos_weight=3.0)
+        ad.backward(loss)
         assert np.isfinite(loss.item())
+        sign = 1 - 2 * y  # the sign of sigmoid(z) - y
+        wrong = sign * z.data > 0
+        assert wrong.sum() == 3
+        assert (sign * z.grad[wrong] >= w / (2 * 6)).all()
+        assert (sign * z.grad[~wrong] >= 0.0).all()
+        assert (z.grad[np.abs(z.data) < 1e6] != 0.0).all()
 
     def test_contracts(self):
         with pytest.raises(ContractError):
@@ -181,7 +191,7 @@ class TestBceLoss:
         rng = np.random.default_rng(47)
         y = rng.integers(0, 2, size=10).astype(float)
         check_grads(
-            lambda s: bce_loss(ad.sigmoid(s), y, pos_weight=4.0),
+            lambda z: bce_loss(z, y, pos_weight=4.0),
             [rng.standard_normal(10)],
             n_probes=60,
             rng=rng,

@@ -8,6 +8,7 @@ import pytest
 from fdcheck import check_grads
 
 import melbert.model
+from melbert import autodiff as ad
 from melbert.autodiff import Tape, Tensor
 from melbert.bpe import train_bpe
 from melbert.data import Instance, make_synthetic_corpus
@@ -85,7 +86,7 @@ class TestBatchedScoring:
         prepared = [batched.build_inputs(i) for i in self.INSTANCES]
         assert len({len(s.ids) for s, _ in prepared}) >= 3
         assert len({i.target_word for i in self.INSTANCES}) < len(self.INSTANCES)
-        got = batched.score_batch([s for s, _ in prepared], [g for _, g in prepared]).data
+        got = ad.sigmoid(batched.logit_batch([s for s, _ in prepared], [g for _, g in prepared])).data
 
         single = make_model(vocab, variant, seed=5)
         want = np.array([single.predict(i).score for i in self.INSTANCES])
@@ -96,8 +97,8 @@ class TestBatchedScoring:
         model = make_model(vocab)
         prepared = [model.build_inputs(i) for i in self.INSTANCES]
         sents, tgts = [s for s, _ in prepared], [g for _, g in prepared]
-        a = model.score_batch(sents, tgts, rng=Rng(4, "drop")).data
-        b = model.score_batch(sents, tgts, rng=Rng(4, "drop")).data
+        a = model.logit_batch(sents, tgts, rng=Rng(4, "drop")).data
+        b = model.logit_batch(sents, tgts, rng=Rng(4, "drop")).data
         assert a.tobytes() == b.tobytes()
         assert model.counters.target == 2 * len(prepared)  # training never reads the cache
 
@@ -105,9 +106,9 @@ class TestBatchedScoring:
         model = make_model(vocab)
         sent, tgt = model.build_inputs(CORPUS[0])
         with pytest.raises(ContractError):
-            model.score_batch([sent, sent], [tgt])
+            model.logit_batch([sent, sent], [tgt])
         with pytest.raises(ContractError):
-            model.score_batch([], [])
+            model.logit_batch([], [])
 
 
 class TestHeadOrder:
@@ -142,9 +143,9 @@ class TestHeadOrder:
             monkeypatch.setattr(melbert.model, name, recorder(name, getattr(melbert.model, name)))
         model = make_model(vocab, variant, dropout=0.1)
         prepared = [model.build_inputs(i) for i in CORPUS[:4]]
-        scores = model.score_batch([s for s, _ in prepared], [g for _, g in prepared], rng=rng)
+        logits = model.logit_batch([s for s, _ in prepared], [g for _, g in prepared], rng=rng)
         assert calls == self.CALLS[variant]
-        assert scores.shape == (4,)
+        assert logits.shape == (4,)
 
 
 class TestPinnedEvalScores:
@@ -174,7 +175,7 @@ class TestPinnedEvalScores:
     def scores(cls, model) -> np.ndarray:
         def batch(instances):
             prepared = [model.build_inputs(i) for i in instances]
-            return list(model.score_batch([s for s, _ in prepared], [g for _, g in prepared]).data)
+            return list(ad.sigmoid(model.logit_batch([s for s, _ in prepared], [g for _, g in prepared])).data)
 
         out = [model.predict(i).score for i in CORPUS[:3]]  # cold, one at a time
         out += batch(CORPUS[:8])                              # 3 warm rows, a repeated target
@@ -254,10 +255,10 @@ class TestTargetCache:
     def test_cached_vector_bitwise_equals_fresh(self, vocab):
         model = make_model(vocab, Variant.NO_SPV)  # the score reads the target vector through one head
         sent, tgt = model.build_inputs(CORPUS[0])
-        s1 = model.score_batch([sent], [tgt]).data.copy()  # miss
-        s2 = model.score_batch([sent], [tgt]).data.copy()  # hit
+        s1 = model.logit_batch([sent], [tgt]).data.copy()  # miss
+        s2 = model.logit_batch([sent], [tgt]).data.copy()  # hit
         model.mark_updated()
-        s3 = model.score_batch([sent], [tgt]).data.copy()  # recomputed
+        s3 = model.logit_batch([sent], [tgt]).data.copy()  # recomputed
         assert s1.tobytes() == s2.tobytes() == s3.tobytes()
         assert (model.counters.target, model.counters.target_cache_hits) == (2, 1)
 
@@ -267,11 +268,11 @@ class TestTargetCache:
         # one instance per target, so both passes encode the same rows
         distinct = {tgt.ids: (sent, tgt) for sent, tgt in map(model.build_inputs, CORPUS[:30])}
         sents, tgts = [s for s, _ in distinct.values()], [g for _, g in distinct.values()]
-        trained = model.score_batch(sents, tgts, rng=Rng(0)).data.copy()
+        trained = model.logit_batch(sents, tgts, rng=Rng(0)).data.copy()
         assert model.counters.target == len(tgts) and model._target_cache == {}
-        evaluated = model.score_batch(sents, tgts).data
+        evaluated = model.logit_batch(sents, tgts).data
         assert model._target_cache.keys() == distinct.keys()
-        model.score_batch(sents, tgts, rng=Rng(0))  # nor is a full cache read
+        model.logit_batch(sents, tgts, rng=Rng(0))  # nor is a full cache read
         assert model.counters.target == 3 * len(tgts) and model.counters.target_cache_hits == 0
         assert trained.tobytes() == evaluated.tobytes()
 
@@ -313,8 +314,8 @@ class TestEndToEndGradient:
                     model.encoder.params[n[4:]] = t
                 else:
                     setattr(model.heads, n[5:].replace(".", "_"), t)
-            scores = model.score_batch([s for s, _ in prepared], [g for _, g in prepared])
-            return bce_loss(scores, labels, pos_weight=2.0)
+            logits = model.logit_batch([s for s, _ in prepared], [g for _, g in prepared])
+            return bce_loss(logits, labels, pos_weight=2.0)
 
         # eval-mode scoring caches target vectors; disable to keep grads exact
         model._target_cache = _NoCache()

@@ -296,7 +296,7 @@ class TestModelCheckpoint:
         save_model_checkpoint(path, res.model)
         loaded = load_model(path, VOCAB)
         for inst in CORPUS[:5]:
-            assert loaded.score_instance(inst).item() == res.model.score_instance(inst).item()
+            assert loaded.predict(inst).score == res.model.predict(inst).score
 
     def test_train_checkpoint_loads_as_model(self, tmp_path):
         ckpt = tmp_path / "t.ckpt"
@@ -304,7 +304,7 @@ class TestModelCheckpoint:
         res = train_single(tiny_cfg(), VOCAB, CORPUS, cfg, seed=0, checkpoint_path=ckpt)
         loaded = load_model(ckpt, VOCAB)
         inst = CORPUS[0]
-        assert loaded.score_instance(inst).item() == res.model.score_instance(inst).item()
+        assert loaded.predict(inst).score == res.model.predict(inst).score
 
 
 def params_sha256(model) -> str:
@@ -572,7 +572,7 @@ class TestBagging:
     def test_identical_members_reduce_to_one(self):
         model = MetaphorModel(tiny_cfg(), VOCAB, seed=0)
         ens = CvEnsemble([model, model, model])
-        single = model.score_instance(CORPUS[0]).item()
+        single = model.predict(CORPUS[0]).score
         assert ens.score(CORPUS[0]) == pytest.approx(single, rel=1e-12)
         assert ens.predict(CORPUS[0]).label == int(single >= 0.5)
 

@@ -36,24 +36,24 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # run -> (SHA-256 of the step log's bytes, SHA-256 of the parameters as
 # little-endian float64 bytes in parameters() order)
 PINS = {
-    "base_all2all": ("fee9a47e96924611865eeeba10e2b8b3e33ca747654bb71ab0cb73abaa449bc9",
-                     "ea0d74862fb582693d4458e0f5e75b9f58455e4e620f7837c3e00e5e3e5f9e8e"),
-    "melbert": ("b5760ea858aab16e8a2981a251d09bbff6c74217bdc06171280fa5cf39bd9041",
-                "0fabcb042b22b4f4c091f324fd471423f73f84556dd706f8a07c8f330f4e6f80"),
+    "base_all2all": ("918c114710885bf9c8a64446b41426a66d15b67f3b07f64b9230051492493487",
+                     "6bb8d53bcedcb4674f4fd28eab479ef8c4d100e9e75ea7151cf4ef7334b7d08f"),
+    "melbert": ("028e140742a523db2369648dcfc94ab0683c8aad536148872f171ab8629450cb",
+                "754c81f9437cddf34fa9614ed0fdaba34a57d0567b8ef85eb87a7981634a427b"),
     "melbert batch 24": ("e18912e7012b6a2f839a5f6b48c91ffd04634978c041aed8188ddcda3488a710",
-                         "8962070e9ed7312cff2872757f0fd3fd0107226f7feb64482d762f3c00c0930a"),
-    "melbert epoch 1": ("f75d56d33652ffe837d0af25d1dcf0dc548cc4bfcba2591b46a88ef20a701cf9",
-                        "d2e89847f241730bb7b01acdbc968e4dfea275f1e7f8fbb521de97b27cf2c821"),
+                         "8bd91fa91ff9fd0d7aea6eedfc9997383e5e7a6716f25f5a76c9aa791f3e0d85"),
+    "melbert epoch 1": ("cdfe573d671e8e5e2d9c526a6620b51b266cc147a44f9d9c5a80adc59da8f431",
+                        "78ccc4f80aa4125328e7cb2cb636088073ccc0ff7f761340b19ff0062a87ffb7"),
     "melbert mse": ("cd207301e1b7e32854d9bb76e8d3f7dba2e618d54808c7dba7ee5337fa823d39",
                     "2fbbc2f1e1496d1b43e8359d113703e3594714b7d8a2f02498b4cfda93c6211b"),
-    "melbert resumed": ("d1ac399c8b343b7aa8c4d18007b91b4bdefadd05848043335b08575dd44e2d7c",
-                        "0fabcb042b22b4f4c091f324fd471423f73f84556dd706f8a07c8f330f4e6f80"),
-    "no_mip": ("a94429b0d44819d535b7c2b57f32cd5a36b9f984aefcfa6551fa0e7f3a4944a2",
-               "2cbd210700158db9a59b21463cbb69dd77f21e2720a4c1576bb403368253c1df"),
-    "no_spv": ("9fc59f56c86938fd2865b4d3d6b9678c33053ea567dbc0f133bb0343e776d9b8",
-               "be69119572ad45a3d97fea972af9d6a0d3e82f7859cd4ff42850926e68e9eb2d"),
-    "seq": ("b4376b8c9bb922f4212f8653539d29ce714e7aa04e1829494da95bc15b5a89f9",
-            "401426ee4cea25d2d0e02ee02e08ec53d288cebe523c8e001d5bf92f84e81b9e"),
+    "melbert resumed": ("67695b08f6b0e8d299a4d8c3d9b7b579eac03d8edbc2f820c7314a31cfb3ed1b",
+                        "754c81f9437cddf34fa9614ed0fdaba34a57d0567b8ef85eb87a7981634a427b"),
+    "no_mip": ("3b42b9ece674ca54823c5763b47c45e5ee2e1651cfe2cd3f55db142712108962",
+               "a7c6d804feddfd2d3c10c65734f93831048b0e8fd1a15afd04810d51ff071cd7"),
+    "no_spv": ("80890161d757695599503d98e5b59d1ad92aac715878ae8b414bb66176952536",
+               "6701de400b9974fade8f1d72f2d657ef88e91d9162f9e772cf74cc9d76eb9f6d"),
+    "seq": ("f98032baa67e5848bc85554f30cf660d45a4c4700ebaa82496c9c174028c2bba",
+            "15af49ce8915a11f8262f003021ca935348f6b03fd8dd6d57a8654cdeff98756"),
 }
 
 
